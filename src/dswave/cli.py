@@ -33,6 +33,7 @@ import jsonschema
 from .desitter import (
     FieldGrid,
     _METHODS,
+    _evaluate_point,
     decay_fit,
     evaluate_grid,
     ita_remainder,
@@ -45,7 +46,6 @@ from .errors import (
     InstabilityDetected,
     InvalidParam,
     QuadratureFailure,
-    ToleranceNotMet,
 )
 from .kernels import (
     PhysicalParams,
@@ -318,12 +318,17 @@ def _parse_normalization(text: str) -> Any:
         ) from None
 
 
+# built once: jsonschema.validate would check the schema and build a new
+# validator on every call
+_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
+
 def _validate(cfg: dict[str, Any]) -> None:
-    try:
-        jsonschema.validate(cfg, _SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "<top level>"
-        raise ConfigError(f"{path}: {exc.message}") from None
+        raise ConfigError(f"{path}: {exc.message}")
 
 
 # flag destination -> (section, key); None section means top level
@@ -526,14 +531,7 @@ def _point_task(task: tuple[str, str, int, int, float, float]) -> tuple[int, int
     err_flag instead of propagating so partial output survives."""
     key, method, i, j, r, t = task
     mode, params, spec, theta, phi = _task_context(key)
-    fn = _METHODS[method]
-    try:
-        return i, j, complex(fn(mode, params, r, t, theta, phi, spec)), "ok"
-    except ToleranceNotMet as exc:
-        val = exc.value if exc.value is not None else complex(math.nan)
-        return i, j, complex(val), type(exc).__name__
-    except QuadratureFailure as exc:
-        return i, j, complex(math.nan), type(exc).__name__
+    return i, j, *_evaluate_point(_METHODS[method], mode, params, r, t, theta, phi, spec)
 
 
 def _run_grid(cfg: dict[str, Any], method: str, jobs: int) -> FieldGrid:
@@ -594,7 +592,8 @@ def _resolve_format(cfg: dict[str, Any], default: str) -> str:
 def _write_rows_csv(fh: TextIO, header: Sequence[str], rows: list[list[Any]]) -> None:
     fh.write(",".join(header) + "\n")
     for row in rows:
-        fh.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+        cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+        fh.write(",".join(cells) + "\n")
 
 
 def _dump_json(fh: TextIO, doc: dict[str, Any]) -> None:

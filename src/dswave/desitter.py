@@ -27,6 +27,7 @@ from .errors import (
     DegenerateFit,
     DomainError,
     InvalidParam,
+    NonFiniteIntegrand,
     QuadratureFailure,
     ToleranceNotMet,
 )
@@ -175,6 +176,33 @@ def _check_mode(mode: ModeState) -> None:
         )
 
 
+def _check_point(
+    mode: ModeState | None, params: PhysicalParams, r: float, t: float
+) -> None:
+    """Argument checks shared by the point evaluators: a usable mode,
+    finite r > 0 and t >= 0, and an expanding background."""
+    if mode is not None:
+        _check_mode(mode)
+    if not (math.isfinite(r) and math.isfinite(t)):
+        raise DomainError(f"r and t must be finite, got r={r}, t={t}")
+    if r <= 0.0:
+        raise DomainError(f"r must be > 0, got {r}")
+    if t < 0.0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    if params.H <= 0.0:
+        raise DomainError("assembly requires H > 0")
+
+
+def _weights(kernel, s, t: float, params: PhysicalParams):
+    """Kernel values at the convolution nodes.  Where a kernel cannot be
+    evaluated there (beyond the binary64 range at late times) the
+    convolution has no finite integrand."""
+    try:
+        return kernel(s, t, params)
+    except DomainError as exc:
+        raise NonFiniteIntegrand(f"convolution kernel at t={t}: {exc}") from None
+
+
 def _require_collapse(params: PhysicalParams) -> None:
     if params.n != 3:
         raise InvalidParam("collapsing-mass forms are specific to n = 3")
@@ -186,22 +214,19 @@ def _require_collapse(params: PhysicalParams) -> None:
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
+_GL_NODES = np.concatenate([_GL32[0], _GL16[0]])
 
 
-def _gl_sum(g: Callable[[float], complex], a: float, b: float,
-            nodes: tuple[np.ndarray, np.ndarray]) -> complex:
-    x, w = nodes
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * sum(wi * g(mid + half * xi) for xi, wi in zip(x, w))
-
-
-def _panel_quad(g: Callable[[float], complex], a: float, b: float,
+def _panel_quad(g: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 abs_tol: float, depth: int = 0) -> tuple[complex, float]:
     """Gauss-Legendre on one smooth panel, 16 vs 32 points as the error
-    gauge, splitting at the geometric mean while the gauge disagrees."""
-    v32 = _gl_sum(g, a, b, _GL32)
-    err = abs(v32 - _gl_sum(g, a, b, _GL16))
+    gauge, splitting at the geometric mean while the gauge disagrees.  The
+    array integrand g sees the nodes of both rules in one call."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    gv = g(mid + half * _GL_NODES)
+    v32 = complex(half * np.sum(_GL32[1] * gv[:32]))
+    err = abs(v32 - complex(half * np.sum(_GL16[1] * gv[32:])))
     if err <= max(abs_tol, 1e-6 * abs(v32)) or depth >= 5:
         return v32, err
     mid = math.sqrt(a * b) if a > 0.0 else 0.5 * (a + b)
@@ -211,11 +236,11 @@ def _panel_quad(g: Callable[[float], complex], a: float, b: float,
 
 
 def _ita_integrals(
-    w0: Callable[[float, float], complex],
+    w0: Callable[[float, np.ndarray], np.ndarray],
     params: PhysicalParams,
     r: float,
     t: float,
-    w1: Callable[[float, float], complex] | None,
+    w1: Callable[[float, np.ndarray], np.ndarray] | None,
     spec: QuadratureSpec,
 ) -> complex:
     h = params.H
@@ -225,8 +250,10 @@ def _ita_integrals(
     damp = math.exp(-0.5 * params.n * h * t)
     q = math.exp(-h * t)
 
-    def convolve(w: Callable[[float, float], complex], kernel, kernel_ep) -> complex:
-        f = lambda s: kernel(s, t, params) * w(r, s)
+    def convolve(w: Callable[[float, np.ndarray], np.ndarray], kernel, kernel_ep):
+        # all nodes of a quadrature pass at once: one batch of wave blocks
+        # and one array kernel evaluation
+        f = lambda s: _weights(kernel, s, t, params) * w(r, s)
         if q >= 0.05:
             # the blocks kink where the integration time crosses the radius
             inner = spec
@@ -245,7 +272,9 @@ def _ita_integrals(
         total = integrate_finite(f, 0.0, s_cut, inner).value
         # the block argument (1 - xi q)/h may round onto the endpoint; only
         # the kernel needs the exactly factored parametrization
-        g = lambda xi: kernel_ep(xi, t, params) * w(r, (1.0 - xi * q) / h) * (q / h)
+        g = lambda xi: (
+            _weights(kernel_ep, xi, t, params) * w(r, (1.0 - xi * q) / h) * (q / h)
+        )
         xi_r = (1.0 - h * r) / q if s_cut < r < pt else None
         xi_max = 0.3 / q
         # fixed rules rather than adaptive ones: the blocks feeding f carry
@@ -282,29 +311,27 @@ def _ita_integrals(
 
 
 def ita_assemble(
-    wave_solution: Callable[[float, float], complex],
+    wave_solution: Callable[[float, np.ndarray], np.ndarray],
     params: PhysicalParams,
     r: float,
     t: float,
-    wave_solution_1: Callable[[float, float], complex] | None = None,
+    wave_solution_1: Callable[[float, np.ndarray], np.ndarray] | None = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
     """Assemble the field value from flat-space wave solutions.
 
     wave_solution(r, s) must be the wave evolution of the initial data and
     wave_solution_1 that of the initial velocity (each with zero partner
-    velocity).  The result is
+    velocity); both take an array of times s and return an array of its
+    shape.  The result is
 
         e^{-(n-1)H t/2} v0(r, phi(t))
         + e^{-n H t/2} int_0^{phi(t)} [2 K0 + n H K1](s, t) v0(r, s) ds
         + 2 e^{-n H t/2} int_0^{phi(t)} K1(s, t) v1(r, s) ds.
     """
-    if params.H <= 0.0:
-        raise DomainError("assembly requires H > 0")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    lead = math.exp(-0.5 * (params.n - 1) * params.H * t) * wave_solution(
-        r, phi_of_t(t, params.H)
+    _check_point(None, params, r, t)
+    lead = math.exp(-0.5 * (params.n - 1) * params.H * t) * complex(
+        wave_solution(r, np.asarray(phi_of_t(t, params.H)))
     )
     return lead + _ita_integrals(wave_solution, params, r, t, wave_solution_1, spec)
 
@@ -319,11 +346,7 @@ def ita_remainder(
     """Kernel-convolution part of the radial field (assembly minus the
     damped traveling term); this is the piece whose late-time envelope the
     decay machinery classifies."""
-    _check_mode(mode)
-    if r <= 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
-    if params.H <= 0.0:
-        raise DomainError("remainder requires H > 0")
+    _check_point(mode, params, r, t)
     w0 = lambda rr, s: wave_block(mode.f0, mode.ell, rr, s, spec)
     w1 = None
     if mode.f1 is not None:
@@ -345,9 +368,7 @@ def field_riemann(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
     """Field value via quadrature wave blocks under the assembly formula."""
-    _check_mode(mode)
-    if r <= 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
+    _check_point(mode, params, r, t)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
     w0 = lambda rr, s: wave_block(mode.f0, mode.ell, rr, s, spec)
     w1 = None
@@ -368,9 +389,7 @@ def field_riemann_huygens(
     """Collapsing-mass field: e^{-H t} [v0(phi(t)) + int_0^{phi(t)}
     (H v0 + v1)(s) ds] times the angular factor."""
     _require_collapse(params)
-    _check_mode(mode)
-    if r <= 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
+    _check_point(mode, params, r, t)
     h = params.H
     pt = phi_of_t(t, h)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
@@ -380,7 +399,7 @@ def field_riemann_huygens(
         if r < pt:
             inner = replace(spec, singularity_split_points=(r,))
 
-        def integrand(s: float) -> complex:
+        def integrand(s: np.ndarray) -> np.ndarray:
             out = h * wave_block(mode.f0, mode.ell, r, s, spec)
             if mode.f1 is not None:
                 out += wave_block(mode.f1, mode.ell, r, s, spec)
@@ -403,36 +422,37 @@ def field_hankel(
 
     The kernel convolutions are rescaled to the unit interval so the
     quadrature grid is independent of t."""
-    _check_mode(mode)
-    if r <= 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
-    if params.H <= 0.0:
-        raise DomainError("assembly requires H > 0")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    _check_point(mode, params, r, t)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
+
+    def blocks(hat, s):
+        # one spectral block per convolution node
+        return np.array(
+            [_hankel_block(hat, mode.ell, r, float(si), "cos", spec) for si in np.ravel(s)]
+        ).reshape(np.shape(s))
+
     hat0 = _profile_transform(mode.f0, mode.ell, spec)
-    block0 = lambda s: _hankel_block(hat0, mode.ell, r, s, "cos", spec)
     h = params.H
     n = params.n
     pt = phi_of_t(t, h)
-    val = math.exp(-0.5 * (n - 1) * h * t) * block0(pt)
+    lead = _hankel_block(hat0, mode.ell, r, pt, "cos", spec)
+    val = math.exp(-0.5 * (n - 1) * h * t) * lead
     if pt > 0.0:
         damp = math.exp(-0.5 * n * h * t) * pt
         inner = spec
         if r < pt:
             inner = replace(spec, singularity_split_points=(r / pt,))
         val += damp * integrate_finite(
-            lambda u: kernel_combination(pt * u, t, params) * block0(pt * u),
+            lambda u: _weights(kernel_combination, pt * u, t, params)
+            * blocks(hat0, pt * u),
             0.0,
             1.0,
             inner,
         ).value
         if mode.f1 is not None:
             hat1 = _profile_transform(mode.f1, mode.ell, spec)
-            block1 = lambda s: _hankel_block(hat1, mode.ell, r, s, "cos", spec)
             val += 2.0 * damp * integrate_finite(
-                lambda u: kernel_k1(pt * u, t, params) * block1(pt * u),
+                lambda u: _weights(kernel_k1, pt * u, t, params) * blocks(hat1, pt * u),
                 0.0,
                 1.0,
                 inner,
@@ -456,11 +476,7 @@ def field_hankel_huygens(
             + int (H fhat0 + fhat1)(lam) sin(lam phi(t)) J dlam ].
     """
     _require_collapse(params)
-    _check_mode(mode)
-    if r <= 0.0:
-        raise DomainError(f"r must be > 0, got {r}")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    _check_point(mode, params, r, t)
     h = params.H
     pt = phi_of_t(t, h)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
@@ -479,6 +495,29 @@ _METHODS: dict[str, Callable[..., complex]] = {
     "huygens_riemann": field_riemann_huygens,
     "huygens_hankel": field_hankel_huygens,
 }
+
+
+def _evaluate_point(
+    fn: Callable[..., complex],
+    mode: ModeState,
+    params: PhysicalParams,
+    r: float,
+    t: float,
+    theta: float,
+    phi: float,
+    spec: QuadratureSpec,
+) -> tuple[complex, str]:
+    """One point of a grid and its err_flag.  A tolerated quadrature
+    failure is flagged with its class name; one that carries a best
+    estimate of its own integral keeps that value, others (an inner batch
+    of integrals, or no estimate) give nan."""
+    try:
+        return complex(fn(mode, params, r, t, theta, phi, spec)), "ok"
+    except ToleranceNotMet as exc:
+        value = exc.value if exc.value is not None and np.ndim(exc.value) == 0 else math.nan
+        return complex(value), type(exc).__name__
+    except QuadratureFailure as exc:
+        return complex(math.nan), type(exc).__name__
 
 
 def evaluate_grid(
@@ -527,14 +566,9 @@ def evaluate_grid(
     flags = [["ok"] * len(ts) for _ in rs]
     for i, r in enumerate(rs):
         for j, t in enumerate(ts):
-            try:
-                values[i, j] = fn(mode, params, r, t, theta, phi, spec)
-            except ToleranceNotMet as exc:
-                values[i, j] = exc.value if exc.value is not None else math.nan
-                flags[i][j] = type(exc).__name__
-            except QuadratureFailure as exc:
-                values[i, j] = math.nan
-                flags[i][j] = type(exc).__name__
+            values[i, j], flags[i][j] = _evaluate_point(
+                fn, mode, params, r, t, theta, phi, spec
+            )
     grid = FieldGrid(
         r_values=rs, t_values=ts, values=values, err_flags=flags, method=method
     )
@@ -588,8 +622,8 @@ def pionic_profile(
         if c.imag == 0.0:
             c = c.real
 
-    def func(x: float) -> complex:
-        return c * x ** (mu - 0.5) * math.exp(-0.5 * x) * assoc_laguerre(k, two_mu, x)
+    def func(x):
+        return c * x ** (mu - 0.5) * np.exp(-0.5 * x) * assoc_laguerre(k, two_mu, x)
 
     return RadialProfile(
         func=func,
@@ -622,17 +656,19 @@ def _pionic_hat(c: complex, mu: float, k: int, ell: int) -> Callable[[float], co
         cg = math.gamma(nu + q) / math.gamma(nu + 1.0)
         terms.append((lj * cg, 0.5 * (nu + q), 0.5 * (1.0 - q + nu)))
 
-    def hat(lam: float) -> complex:
-        if lam <= 0.0:
-            return 0j
-        s2 = 0.25 + lam * lam
-        z = lam * lam / s2
+    def hat(lam):
+        lams = np.asarray(lam, dtype=float)
+        pos = lams > 0.0
+        lp = np.where(pos, lams, 1.0)
+        s2 = 0.25 + lp * lp
+        z = lp * lp / s2
         one_minus = 0.25 / s2
         tot = 0j
         for coef, a1, a2 in terms:
             f = hyp2f1(a1, a2, nu + 1.0, z, one_minus_z=one_minus)
-            tot += coef * s2 ** (-(a1)) * f
-        return c * (0.5 * lam) ** nu * tot
+            tot = tot + coef * s2 ** (-(a1)) * f
+        out = np.where(pos, c * (0.5 * lp) ** nu * tot, 0j)
+        return complex(out) if lams.ndim == 0 else out
 
     return hat
 

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DomainError, InvalidParam
 from .specfun import hyp2f1
 
@@ -82,7 +84,7 @@ class PhysicalParams:
 @dataclass(frozen=True)
 class KernelEval:
     """Both kernels at one point, with the hypergeometric argument kept
-    for diagnostics."""
+    for diagnostics; arrays of them when evaluated on arrays."""
 
     r: float
     t: float
@@ -102,121 +104,146 @@ def phi_of_t(t: float, H: float) -> float:
     return -math.expm1(-H * t) / H
 
 
-def kernel_eval(r: float, t: float, params: PhysicalParams) -> KernelEval:
-    """Evaluate K0 and K1 at radius r, time t.
+def _first(bad: np.ndarray, *arrays: np.ndarray) -> tuple[float, ...]:
+    # the first offending point, for error messages
+    i = int(np.flatnonzero(bad)[0])
+    return tuple(float(a.ravel()[i]) for a in arrays)
+
+
+def kernel_eval(r, t, params: PhysicalParams) -> KernelEval:
+    """Evaluate K0 and K1 at radius r, time t (scalars, or arrays that
+    broadcast together, which give a KernelEval of arrays).
 
     Defined on r >= 0, t >= 0 with H r <= 1 - e^{-H t} + (1 + e^{-H t})
     margin, i.e. wherever D > 0 and z >= 0; outside that region the
-    hypergeometric argument leaves its branch and DomainError is raised.
+    hypergeometric argument leaves its branch and DomainError is raised,
+    as it is where the kernels leave the binary64 range (late times).
     """
     H = params.H
     if H <= 0.0:
         raise DomainError("kernels require H > 0")
-    if r < 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    q = math.exp(-H * t)
-    hs = H * r
+    rs, ts = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    if not (rs >= 0.0).all():
+        raise DomainError(f"r must be >= 0, got {_first(~(rs >= 0.0), rs)[0]}")
+    if not (ts >= 0.0).all():
+        raise DomainError(f"t must be >= 0, got {_first(~(ts >= 0.0), ts)[0]}")
+    q = np.exp(-H * ts)
+    hs = H * rs
     # both squares differences are factored through u = 1 - H r, exact for
     # H r in [1/2, 2]: near the light cone D and the numerator are O(q), and
     # expanding the squares would leave them an absolute error of order eps,
     # which the K0 assembly amplifies by up to 1/q
     u = 1.0 - hs
-    hr2 = hs * hs
     d = (q + u) * (2.0 + q - u)
-    if d <= 0.0:
+    if not (d > 0.0).all():
+        rr, tt = _first(~(d > 0.0), rs, ts)
         raise DomainError(
-            f"kernel undefined at r={r}, t={t}: denominator (1+q)^2-(Hr)^2 <= 0"
+            f"kernel undefined at r={rr}, t={tt}: denominator (1+q)^2-(Hr)^2 <= 0"
         )
     num = (u - q) * (2.0 - q - u)
-    if num < 0.0:
-        # H r a few ulps beyond 1 - q is rounding in r, not a point outside
-        # the light cone: the relative clause covers small H t, where u is
-        # itself rounded, the absolute one large H t, where D ~ 4q is tiny
-        if num > -1e-12 * d or u - q >= -4.0 * _EPS * hs:
-            num = 0.0
-        else:
-            raise DomainError(
-                f"kernel undefined at r={r}, t={t}: H r exceeds 1 - e^(-H t)"
-            )
+    # H r a few ulps beyond 1 - q is rounding in r, not a point outside the
+    # light cone: the relative clause covers small H t, where u is itself
+    # rounded, the absolute one large H t, where D ~ 4q is tiny
+    outside = (num < 0.0) & ~((num > -1e-12 * d) | (u - q >= -4.0 * _EPS * hs))
+    if outside.any():
+        rr, tt = _first(outside, rs, ts)
+        raise DomainError(f"kernel undefined at r={rr}, t={tt}: H r exceeds 1 - e^(-H t)")
+    num = np.maximum(num, 0.0)
     z = num / d
     one_minus = 4.0 * q / d  # exact complement of z, no cancellation
-    return _assemble(params, r, t, q, hr2, d / q, math.log(d), z, one_minus)
+    with np.errstate(divide="ignore", over="ignore"):
+        d_over_q = d / q
+    return _assemble(params, rs, ts, q, hs * hs, d_over_q, np.log(d), z, one_minus)
 
 
 def _assemble(
     params: PhysicalParams,
-    r: float,
-    t: float,
-    q: float,
-    hr2: float,
-    d_over_q: float,
-    ln_d: float,
-    z: float,
-    one_minus: float,
+    r: np.ndarray,
+    t: np.ndarray,
+    q: np.ndarray,
+    hr2: np.ndarray,
+    d_over_q: np.ndarray,
+    ln_d: np.ndarray,
+    z: np.ndarray,
+    one_minus: np.ndarray,
 ) -> KernelEval:
+    if not (q > 0.0).all():
+        raise DomainError(f"e^(-H t) underflows at t={_first(~(q > 0.0), t)[0]}")
     H = params.H
     mh = params.M / H
     m_ = params.M
     a1 = 0.5 - mh
-    f1 = hyp2f1(a1, a1, 1.0, z, one_minus_z=one_minus)
-    k1 = cmath.exp(-mh * _LN4 + m_ * t + (mh - 0.5) * ln_d) * f1
     a2 = 1.5 - mh
+    f1 = hyp2f1(a1, a1, 1.0, z, one_minus_z=one_minus)
     f2 = hyp2f1(a2, a2, 2.0, z, one_minus_z=one_minus)
-    term1 = d_over_q * (-hr2 * m_ + m_ * q * q + H * q + H - m_) * f1
-    term2 = (H - 2.0 * m_) ** 2 * (q * q - 1.0 - hr2) / H * f2
-    k0 = -q * cmath.exp(-mh * _LN4 + m_ * t + (mh - 2.5) * ln_d) * (term1 + term2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = np.exp(-mh * _LN4 + m_ * t + (mh - 0.5) * ln_d) * f1
+        term1 = d_over_q * (-hr2 * m_ + m_ * q * q + H * q + H - m_) * f1
+        term2 = (H - 2.0 * m_) ** 2 * (q * q - 1.0 - hr2) / H * f2
+        k0 = -q * np.exp(-mh * _LN4 + m_ * t + (mh - 2.5) * ln_d) * (term1 + term2)
+    bad = ~(np.isfinite(k0) & np.isfinite(k1))
+    if bad.any():
+        rr, tt = _first(bad, r, t)
+        raise DomainError(f"kernels at r={rr}, t={tt} exceed the binary64 range")
+    if r.ndim == 0:
+        return KernelEval(
+            r=float(r), t=float(t), k0=complex(k0), k1=complex(k1), z_arg=float(z)
+        )
     return KernelEval(r=r, t=t, k0=k0, k1=k1, z_arg=z)
 
 
-def kernel_eval_endpoint(xi: float, t: float, params: PhysicalParams) -> KernelEval:
-    """Evaluate the kernels at H r = 1 - xi e^{-H t}, xi >= 1.
+def kernel_eval_endpoint(xi, t, params: PhysicalParams) -> KernelEval:
+    """Evaluate the kernels at H r = 1 - xi e^{-H t}, xi >= 1 (scalars, or
+    arrays that broadcast together).
 
     Near the upper integration endpoint both D and 1 - z are O(e^{-H t});
     this parametrization factors them exactly, D = q (1 + xi)(2 + q(1 - xi))
     with q = e^{-H t}, so the evaluation stays accurate even when xi q
     underflows the spacing of 1.0 and the direct form degenerates.
+    DomainError where the kernels leave the binary64 range.
     """
     H = params.H
     if H <= 0.0:
         raise DomainError("kernels require H > 0")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    q = math.exp(-H * t)
-    if xi < 1.0 - 1e-9:
-        raise DomainError(f"endpoint parametrization needs xi >= 1, got {xi}")
-    if xi * q > 1.0:
-        raise DomainError(f"xi={xi} puts the radius below 0 at t={t}")
-    xi = max(xi, 1.0)
-    hs = 1.0 - xi * q
-    d_over_q = (1.0 + xi) * (2.0 + q * (1.0 - xi))
-    z = (xi - 1.0) * (2.0 - q * (1.0 + xi)) / d_over_q
+    xs, ts = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(t, dtype=float))
+    if not (ts >= 0.0).all():
+        raise DomainError(f"t must be >= 0, got {_first(~(ts >= 0.0), ts)[0]}")
+    q = np.exp(-H * ts)
+    if not (xs >= 1.0 - 1e-9).all():
+        bad = _first(~(xs >= 1.0 - 1e-9), xs)[0]
+        raise DomainError(f"endpoint parametrization needs xi >= 1, got {bad}")
+    if (xs * q > 1.0).any():
+        xx, tt = _first(xs * q > 1.0, xs, ts)
+        raise DomainError(f"xi={xx} puts the radius below 0 at t={tt}")
+    xs = np.maximum(xs, 1.0)
+    hs = 1.0 - xs * q
+    d_over_q = (1.0 + xs) * (2.0 + q * (1.0 - xs))
+    z = (xs - 1.0) * (2.0 - q * (1.0 + xs)) / d_over_q
     one_minus = 4.0 / d_over_q
-    ln_d = -H * t + math.log(d_over_q)
-    return _assemble(params, hs / H, t, q, hs * hs, d_over_q, ln_d, z, one_minus)
+    ln_d = -H * ts + np.log(d_over_q)
+    return _assemble(params, hs / H, ts, q, hs * hs, d_over_q, ln_d, z, one_minus)
 
 
-def kernel_k0(r: float, t: float, params: PhysicalParams) -> complex:
+def kernel_k0(r, t, params: PhysicalParams):
     return kernel_eval(r, t, params).k0
 
 
-def kernel_k1(r: float, t: float, params: PhysicalParams) -> complex:
+def kernel_k1(r, t, params: PhysicalParams):
     return kernel_eval(r, t, params).k1
 
 
-def kernel_combination(r: float, t: float, params: PhysicalParams) -> complex:
+def kernel_combination(r, t, params: PhysicalParams):
     """2 K0 + n H K1, the weight multiplying the data block in the
     field representation."""
     ke = kernel_eval(r, t, params)
     return 2.0 * ke.k0 + params.n * params.H * ke.k1
 
 
-def kernel_k1_endpoint(xi: float, t: float, params: PhysicalParams) -> complex:
+def kernel_k1_endpoint(xi, t, params: PhysicalParams):
     return kernel_eval_endpoint(xi, t, params).k1
 
 
-def kernel_combination_endpoint(xi: float, t: float, params: PhysicalParams) -> complex:
+def kernel_combination_endpoint(xi, t, params: PhysicalParams):
     ke = kernel_eval_endpoint(xi, t, params)
     return 2.0 * ke.k0 + params.n * params.H * ke.k1
 

@@ -13,7 +13,8 @@ wave with data F(r, 0) = f0(r), F_t(r, 0) = f1(r):
 
 ``minkowski_kg`` adds the mass term through a Bessel-kernel time
 convolution applied to the wave blocks.  All evaluators accept radii below
-the light cone through the parity extension r^ell * F even.
+the light cone through the parity extension r^ell * F even.  Profiles and
+wave blocks take arrays, so the quadratures hand them whole node sets.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     IntegralResult,
     QuadratureSpec,
+    integrate_batch,
     integrate_finite,
     integrate_semi_infinite_oscillatory,
 )
@@ -58,13 +60,15 @@ __all__ = [
 class RadialProfile:
     """Radial data function with its parity extension and decay metadata.
 
-    func is the bare profile on r > 0; calls with negative arguments go
-    through the extension F(-r) = (-1)^ell F(r) (r^ell F even).  mu is the
-    small-r exponent: F = O(r^{mu - 1/2}) as r -> 0+.  decay_class is
-    "exponential" or "algebraic"; algebraic profiles carry their rate in
-    decay_k (|F| = O(r^{-decay_k})) and are admissible for the spectral
-    path only when decay_k > 2.  hankel, when set, is a closed form of the
-    order parity_ell + 1/2 transform used to skip the numerical one.
+    func is the bare profile on r > 0 and takes arrays; calls with negative
+    arguments go through the extension F(-r) = (-1)^ell F(r) (r^ell F
+    even).  The profile and r_f take scalars or arrays and return the
+    same.  mu is the small-r exponent: F = O(r^{mu - 1/2}) as r -> 0+.
+    decay_class is "exponential" or "algebraic"; algebraic profiles carry
+    their rate in decay_k (|F| = O(r^{-decay_k})) and are admissible for
+    the spectral path only when decay_k > 2.  hankel, when set, is a closed
+    form of the order parity_ell + 1/2 transform (taking arrays too) used
+    to skip the numerical one.
     """
 
     func: Callable[[float], complex]
@@ -81,22 +85,28 @@ class RadialProfile:
         if self.parity_ell < 0:
             raise InvalidParam("parity_ell must be >= 0")
 
-    def __call__(self, x: float) -> complex:
-        if x > 0.0:
-            return complex(self.func(x))
-        if x < 0.0:
-            v = complex(self.func(-x))
-            return -v if self.parity_ell % 2 else v
-        # x = 0: defined only when the small-r exponent allows a limit
-        if self.mu > 0.5:
-            return 0j
-        return complex(self.func(0.0))
+    def __call__(self, x):
+        xs = np.asarray(x, dtype=float)
+        ax = np.abs(xs)
+        pos = ax > 0.0
+        if pos.all():
+            v = np.array(self.func(ax), dtype=complex)
+        else:
+            v = np.zeros(xs.shape, dtype=complex)
+            v[pos] = self.func(ax[pos])
+            # x = 0: defined only when the small-r exponent allows a limit
+            if self.mu <= 0.5:
+                v[~pos] = self.func(ax[~pos])
+        if self.parity_ell % 2:
+            v = np.where(xs < 0.0, -v, v)
+        return complex(v) if xs.ndim == 0 else v
 
-    def r_f(self, x: float) -> complex:
+    def r_f(self, x):
         """x * F(x) with its removable zero at x = 0 (x F = O(x^{mu+1/2}))."""
-        if x == 0.0:
-            return 0j
-        return x * self(x)
+        xs = np.asarray(x, dtype=float)
+        zero = xs == 0.0
+        v = np.where(zero, 0.0, xs * self(np.where(zero, 1.0, xs)))
+        return complex(v) if xs.ndim == 0 else v
 
     @property
     def hankel_admissible(self) -> bool:
@@ -145,15 +155,15 @@ def gaussian_profile(
     if p < 0 or (p - ell) % 2 or p < ell:
         raise InvalidParam(f"power={p} incompatible with ell={ell} parity")
 
-    def func(x: float, _a=amplitude, _s=sigma, _p=p) -> complex:
-        return _a * x**_p * math.exp(-_s * x * x)
+    def func(x, _a=amplitude, _s=sigma, _p=p):
+        return _a * x**_p * np.exp(-_s * x * x)
 
     hat = None
     if p == ell:
         scale = amplitude / (2.0 * sigma) ** (ell + 1.5)
 
-        def hat(lam: float, _c=scale, _s=sigma, _e=ell) -> complex:
-            return _c * lam ** (_e + 0.5) * math.exp(-lam * lam / (4.0 * _s))
+        def hat(lam, _c=scale, _s=sigma, _e=ell):
+            return _c * lam ** (_e + 0.5) * np.exp(-lam * lam / (4.0 * _s))
 
     return RadialProfile(
         func=func,
@@ -194,10 +204,8 @@ def tabulated_profile(
     spline = CubicSpline(r, f)
     lo, hi = float(r[0]), float(r[-1])
 
-    def func(x: float) -> complex:
-        if x < lo or x > hi:
-            return 0j
-        return complex(spline(x))
+    def func(x):
+        return np.where((x < lo) | (x > hi), 0.0, spline(x))
 
     return RadialProfile(
         func=func,
@@ -236,9 +244,9 @@ def wave_block(
     profile: RadialProfile,
     ell: int,
     r: float,
-    t: float,
+    t,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> complex:
+):
     """Radial wave solution at (r, t) for data (profile, 0) on mode ell.
 
     Traveling-wave average of r*F plus the tail integral weighted by the
@@ -247,27 +255,31 @@ def wave_block(
     segment exactly (the integrand is odd under s -> -s there, combining
     the data parity with the reflection symmetry of the polynomial), so the
     tail is integrated over [|r-t|, r+t]; on that range y lies in [0, 1/2].
+
+    t may be an array of times: the tails are then one batch of integrals,
+    one per time, and the result an array of t's shape.
     """
     if r <= 0.0:
         raise DomainError(f"wave_block requires r > 0, got {r}")
-    if t < 0.0:
+    ts = np.asarray(t, dtype=float)
+    if not (ts >= 0.0).all():
         raise DomainError(f"wave_block requires t >= 0, got {t}")
-    lead = (profile.r_f(r - t) + profile.r_f(r + t)) / (2.0 * r)
-    if ell == 0 or t == 0.0:
-        return lead
-    coeffs = _tail_coeffs(ell)
-    lo, hi = abs(r - t), r + t
+    flat = ts.ravel()
+    out = (profile.r_f(r - flat) + profile.r_f(r + flat)) / (2.0 * r)
+    run = np.flatnonzero(flat > 0.0) if ell > 0 else np.empty(0, dtype=int)
+    if run.size:
+        coeffs = _tail_coeffs(ell)
+        tr = flat[run]
 
-    def integrand(s: float) -> complex:
-        # product form of t^2 - (r-s)^2; both factors >= 0 on [lo, hi]
-        y = (t - r + s) * (t + r - s) / (4.0 * r * s)
-        acc = 0.0
-        for ck in reversed(coeffs):
-            acc = acc * y + ck
-        return profile(s) * acc
+        def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+            # product form of t^2 - (r-s)^2; both factors >= 0 on [lo, hi]
+            tk = tr[k]
+            y = (tk - r + s) * (tk + r - s) / (4.0 * r * s)
+            return profile(s) * polyval_ascending(coeffs, y)
 
-    tail = integrate_finite(integrand, lo, hi, spec).value
-    return lead - 0.25 * ell * (ell + 1) * t / (r * r) * tail
+        tail = integrate_batch(integrand, np.abs(r - tr), r + tr, spec).value
+        out[run] -= 0.25 * ell * (ell + 1) * tr / (r * r) * tail
+    return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
 def solve_riemann(
@@ -391,12 +403,16 @@ def _profile_transform(
         return f.hankel
     cache: dict[float, complex] = {}
 
-    def num(lam: float) -> complex:
-        v = cache.get(lam)
-        if v is None:
-            v = hankel_transform(f, ell, lam, spec) if lam > 0.0 else 0j
-            cache[lam] = v
-        return v
+    def num(lam):
+        lams = np.asarray(lam, dtype=float)
+        out = np.empty(lams.size, dtype=complex)
+        for i, x in enumerate(lams.ravel().tolist()):
+            v = cache.get(x)
+            if v is None:
+                v = hankel_transform(f, ell, x, spec) if x > 0.0 else 0j
+                cache[x] = v
+            out[i] = v
+        return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
     return num
 
@@ -421,10 +437,11 @@ def _component_tail(
     else:
         freq = abs(freq)
 
-    def integrand(lam: float) -> complex:
+    trig = np.sin if kind == "sin" else np.cos
+
+    def integrand(lam: np.ndarray) -> np.ndarray:
         u = 1.0 / (r * lam)
-        tr = math.sin(freq * lam) if kind == "sin" else math.cos(freq * lam)
-        return gfun(lam) * polyval_ascending(poly, u) * tr
+        return gfun(lam) * polyval_ascending(poly, u) * trig(freq * lam)
 
     quarter = math.pi / (4.0 * lam0)
     if freq >= quarter:
@@ -446,15 +463,12 @@ def _component_tail(
     lam_slow = max(trunc.lambda_max, 16.0 * lam0)
     lam1 = math.pi / (4.0 * freq) if freq > 0.0 else math.inf
     edge_hi = min(lam1, lam_slow)
-    val = 0j
-    err = 0.0
-    a = lam0
-    while a < edge_hi:
-        b = min(2.0 * a, edge_hi)
-        res = integrate_finite(integrand, a, b, spec)
-        val += res.value
-        err += res.err_est
-        a = b
+    edges = [lam0]
+    while edges[-1] < edge_hi:
+        edges.append(min(2.0 * edges[-1], edge_hi))
+    res = integrate_batch(lambda lam, k: integrand(lam), edges[:-1], edges[1:], spec)
+    val = complex(res.value.sum())
+    err = float(res.err_est.sum())
     if lam1 < lam_slow:
         # oscillation resumes; lift the cap so the first half-period cells fit
         wide = replace(
@@ -518,8 +532,8 @@ def _hankel_block(
         return 0j
     lam0 = max(40.0, 3.0 * (ell + 2) / r)
 
-    def direct(lam: float) -> complex:
-        wv = math.cos(omega * lam) if cos_w else math.sin(omega * lam)
+    def direct(lam: np.ndarray, k: np.ndarray) -> np.ndarray:
+        wv = np.cos(omega * lam) if cos_w else np.sin(omega * lam)
         v = fhat(lam) * wv * bessel_j_half(ell, r * lam)
         return v * lam if cos_w else v
 
@@ -530,18 +544,15 @@ def _hankel_block(
         abs_tol=spec.abs_tol / (2.0 * n_pan),
         singularity_split_points=(),
     )
-    total = 0j
-    for i in range(n_pan):
-        a = lam0 * i / n_pan
-        b = lam0 * (i + 1) / n_pan
-        total += integrate_finite(direct, a, b, pan_spec).value
+    edges = lam0 * np.arange(n_pan + 1) / n_pan
+    total = complex(integrate_batch(direct, edges[:-1], edges[1:], pan_spec).value.sum())
 
     # tail components: J_{ell+1/2}(x) = sqrt(2/(pi x)) (A(1/x) sin x + B(1/x) cos x)
     acoef, bcoef = bessel_trig_split(ell)
     pref = math.sqrt(2.0 / (math.pi * r))
     if cos_w:
-        def g(lam: float) -> complex:
-            return fhat(lam) * pref * math.sqrt(lam)
+        def g(lam):
+            return fhat(lam) * pref * np.sqrt(lam)
 
         comps = [
             (0.5, r + omega, "sin", acoef),
@@ -550,8 +561,8 @@ def _hankel_block(
             (0.5, r - omega, "cos", bcoef),
         ]
     else:
-        def g(lam: float) -> complex:
-            return fhat(lam) * pref / math.sqrt(lam)
+        def g(lam):
+            return fhat(lam) * pref / np.sqrt(lam)
 
         comps = [
             (0.5, r - omega, "cos", acoef),
@@ -619,8 +630,8 @@ def minkowski_kg(
         outer = replace(spec, singularity_split_points=(math.asin(r / t),))
     if m0 > 0.0:
         u -= m0 * t * integrate_finite(
-            lambda h: _bessel_j1(m0 * t * math.cos(h))
-            * wave_block(mode.f0, mode.ell, r, t * math.sin(h), spec),
+            lambda h: _bessel_j1(m0 * t * np.cos(h))
+            * wave_block(mode.f0, mode.ell, r, t * np.sin(h), spec),
             0.0,
             0.5 * math.pi,
             outer,
@@ -628,9 +639,9 @@ def minkowski_kg(
     if mode.f1 is not None:
         if m0 > 0.0:
             u += t * integrate_finite(
-                lambda h: _bessel_j0(m0 * t * math.cos(h))
-                * math.cos(h)
-                * wave_block(mode.f1, mode.ell, r, t * math.sin(h), spec),
+                lambda h: _bessel_j0(m0 * t * np.cos(h))
+                * np.cos(h)
+                * wave_block(mode.f1, mode.ell, r, t * np.sin(h), spec),
                 0.0,
                 0.5 * math.pi,
                 outer,

@@ -100,12 +100,8 @@ def solve_fd(
 
     dr = config.r_max / config.n_r
     rj = (np.arange(config.n_r) + 0.5) * dr
-    r0 = np.array([mode.f0.r_f(r) for r in rj])
-    s0 = (
-        np.array([mode.f1.r_f(r) for r in rj])
-        if mode.f1 is not None
-        else np.zeros(config.n_r)
-    )
+    r0 = mode.f0.r_f(rj)
+    s0 = mode.f1.r_f(rj) if mode.f1 is not None else np.zeros(config.n_r)
     if r0.imag.any() or s0.imag.any():
         r_state = r0.astype(complex)
         s_state = s0.astype(complex)

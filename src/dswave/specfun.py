@@ -3,7 +3,9 @@ parameters and real argument, half-integer Bessel J, associated Laguerre
 polynomials, spherical harmonics, and the upper incomplete gamma function.
 
 Everything here is pure 64-bit floating point; extended-precision reference
-values used by the test suite come from a separate dev-only tool.
+values used by the test suite come from a separate dev-only tool.  2F1,
+half-integer Bessel J and the Laguerre polynomials take scalars or arrays
+of their argument and return the same.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import cmath
 import math
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import digamma as _digamma
 from scipy.special import gamma as _gamma
 from scipy.special import zetac as _zetac
@@ -36,6 +39,9 @@ _CAB_TOL = 1e-8
 _SERIES_EPS = 1e-16
 _SERIES_MAX_TERMS = 2000
 _SERIES_CUT = 0.95
+# arguments per block of a series evaluation: a block is summed to the
+# length its largest |z| needs
+_SERIES_BLOCK = 256
 
 
 def _nonpositive_int(w: complex, tol: float = _INT_TOL) -> int | None:
@@ -53,79 +59,152 @@ def _near_int(w: complex, tol: float) -> int | None:
     return None
 
 
-def _gauss_series(a: complex, b: complex, c: complex, z: float) -> complex:
-    """Plain Gauss series sum_{k} (a)_k(b)_k/((c)_k k!) z^k for |z| < 1."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    small = 0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        if abs(term) <= _SERIES_EPS * abs(total):
-            small += 1
-            if small >= 2:
-                return total
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """Rows z^0 .. z^(n-1)."""
+    p = np.empty((n, z.size))
+    p[0] = 1.0
+    p[1:] = z
+    np.cumprod(p[1:], axis=0, out=p[1:])
+    return p
+
+
+def _dot(coef: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # complex coefficients against real powers, without complex promotion
+    return coef.real @ p + 1j * (coef.imag @ p)
+
+
+_K = np.arange(_SERIES_MAX_TERMS)
+_LN_CUT = math.log(0.1 * _SERIES_EPS)
+
+
+def _series_terms(log_bound: np.ndarray, xmax: float) -> int:
+    """Terms until the bound on |c_k| xmax^k stays below 1e-17, at least 3:
+    the first guess of a series length, which the tail check confirms."""
+    if xmax <= 0.0:
+        return 3
+    lnx = math.log(xmax)
+    # the bound is nonincreasing in k: bisect for its first crossing
+    lo, hi = 0, _SERIES_MAX_TERMS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_bound[mid] + mid * lnx < _LN_CUT:
+            hi = mid
         else:
-            small = 0
-    raise DivergentSeries(
-        f"2F1 series did not converge after {_SERIES_MAX_TERMS} terms (z={z})"
-    )
+            lo = mid + 1
+    return min(_SERIES_MAX_TERMS, max(3, lo + 2))
 
 
-def _polynomial_sum(k: int, b: complex, c: complex, z: float) -> complex:
+def _tail_bound(coef: np.ndarray) -> np.ndarray:
+    # log of max_{j >= k} |c_j|
+    with np.errstate(divide="ignore"):
+        return np.maximum.accumulate(np.log(np.abs(coef))[::-1])[::-1]
+
+
+@lru_cache(maxsize=128)
+def _gauss_coeffs(a: complex, b: complex, c: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(a)_k (b)_k / ((c)_k k!) for k < _SERIES_MAX_TERMS, and the log of
+    their largest magnitude from k on."""
+    k = _K[:-1]
+    ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+    coef = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
+    return coef, _tail_bound(coef)
+
+
+def _blocked_series(rows: np.ndarray, bound: np.ndarray, z: np.ndarray, accept):
+    """Power series sum_k rows[j, k] z^k at every argument, in blocks sorted
+    by |z|.  A block is cut at the length its largest |z| needs and doubled
+    until accept(sums, idx, n) returns its values (None while the
+    truncation check fails)."""
+    out = np.empty(z.size, dtype=complex)
+    blocks = [slice(None)]
+    if z.size > _SERIES_BLOCK:
+        order = np.argsort(np.abs(z))
+        blocks = [order[lo:lo + _SERIES_BLOCK] for lo in range(0, z.size, _SERIES_BLOCK)]
+    for idx in blocks:
+        zb = z[idx]
+        zmax = float(np.abs(zb).max())
+        n = _series_terms(bound, zmax)
+        while True:
+            p = _powers(zb, n)
+            values = accept(_dot(rows[:, :n], p), p, idx, n)
+            if values is not None:
+                break
+            if n == _SERIES_MAX_TERMS:
+                raise DivergentSeries(
+                    f"2F1 series did not converge after {n} terms (|z| up to {zmax})"
+                )
+            n = min(2 * n, _SERIES_MAX_TERMS)
+        out[idx] = values
+    return out
+
+
+def _gauss_series(a: complex, b: complex, c: complex, z: np.ndarray) -> np.ndarray:
+    """Plain Gauss series sum_{k} (a)_k(b)_k/((c)_k k!) z^k for |z| < 1,
+    stopped where two consecutive terms are below 1e-16 of the sum."""
+    coef, bound = _gauss_coeffs(a, b, c)
+
+    def accept(sums, p, idx, n):
+        last = np.abs(coef[n - 2:n, None]) * np.abs(p[-2:])
+        return sums[0] if (last <= _SERIES_EPS * np.abs(sums[0])).all() else None
+
+    return _blocked_series(coef[None], bound, z, accept)
+
+
+def _polynomial_sum(k: int, b: complex, c: complex, z: np.ndarray) -> np.ndarray:
     # Terminating series for a = -k; valid for any finite z.
-    a = complex(k)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(-k):
-        term *= (a + j) * (b + j) / ((c + j) * (j + 1)) * z
-        total += term
-    return total
+    coef = _gauss_coeffs(complex(k), b, c)[0][: 1 - k]
+    return _dot(coef, _powers(z, 1 - k))
 
 
-def _log_case(a: complex, b: complex, m: int, x: float) -> complex:
+@lru_cache(maxsize=64)
+def _log_coeffs(a: complex, b: complex, m: int) -> tuple[np.ndarray, ...]:
+    """c_n = (a+m)_n (b+m)_n / (n! (n+m)!), c_n times the digamma part
+    psi(n+1) + psi(n+m+1) - psi(a+n+m) - psi(b+n+m) of the log-case
+    bracket, and the log of the largest |c_j| from n on."""
+    n = _K
+    ratios = (a + m + n[:-1]) * (b + m + n[:-1]) / ((n[:-1] + 1.0) * (n[:-1] + m + 1.0))
+    c = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)]) / math.factorial(m)
+    psi = (
+        _digamma(n + 1.0)
+        + _digamma(n + m + 1.0)
+        - _digamma(a + n + m)
+        - _digamma(b + n + m)
+    )
+    return c, c * psi, _tail_bound(c)
+
+
+def _log_case(a: complex, b: complex, m: int, x: np.ndarray) -> np.ndarray:
     """2F1(a, b; a+b+m; z) for integer m >= 0 via the logarithmic expansion.
 
     x = 1-z, 0 < x <= 0.05 in practice.  Classical formula (equivalent to the
     c-a-b integer case of the connection formulas at z=1).
     """
-    res = 0.0 + 0.0j
+    res = np.zeros(x.size, dtype=complex)
     if m > 0:
         # finite part: sum_{n<m} (a)_n(b)_n/(n!(1-m)_n) x^n
         coef = _gamma(m) * _gamma(a + b + m) / (_gamma(a + m) * _gamma(b + m))
-        term = 1.0 + 0.0j
-        s = 0.0 + 0.0j
-        for n in range(m):
-            s += term
-            if n < m - 1:
-                term *= (a + n) * (b + n) / ((n + 1) * (1 - m + n)) * x
-        res += coef * s
+        terms = [1.0 + 0.0j]
+        for n in range(m - 1):
+            terms.append(terms[-1] * (a + n) * (b + n) / ((n + 1) * (1 - m + n)))
+        res += coef * _dot(np.array(terms), _powers(x, m))
     # logarithmic part
-    lead = -((-1.0) ** m) * _gamma(a + b + m) / (_gamma(a) * _gamma(b)) * x**m
+    lead = -((-1.0) ** m) * _gamma(a + b + m) / (_gamma(a) * _gamma(b))
     if lead == 0.0:
         # 1/Gamma at a pole of Gamma: the whole log part vanishes
         return res
-    lx = math.log(x)
-    # n = 0 term carries 1/(0! * (0+m)!) = 1/m!
-    term = 1.0 / math.factorial(m) + 0.0j
-    s = 0.0 + 0.0j
-    for n in range(_SERIES_MAX_TERMS):
-        bracket = (
-            lx
-            - _digamma(n + 1.0)
-            - _digamma(n + m + 1.0)
-            + _digamma(a + n + m)
-            + _digamma(b + n + m)
-        )
-        s += term * bracket
+    lx = np.log(x)
+    c, cpsi, bound = _log_coeffs(a, b, m)
+
+    def accept(sums, p, idx, n):
+        s = lx[idx] * sums[0] - sums[1]
         # convergence judged on |term|, not the bracket (which can vanish)
-        if n > 1 and abs(term) * (abs(lx) + 8.0) <= _SERIES_EPS * abs(s):
-            break
-        term *= (a + m + n) * (b + m + n) / ((n + 1) * (n + m + 1)) * x
-    return res + lead * s
+        last = np.abs(c[n - 1]) * p[-1] * (np.abs(lx[idx]) + 8.0)
+        return s if (last <= _SERIES_EPS * np.abs(s)).all() else None
+
+    return res + lead * x**m * _blocked_series(np.stack([c, cpsi]), bound, x, accept)
 
 
-def _transform_z_to_1mz(a: complex, b: complex, c: complex, x: float) -> complex:
+def _transform_z_to_1mz(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
     """2F1 near z=1 via connection formulas; x = 1-z computed by the caller."""
     w = c - a - b
     m = _near_int(w, _CAB_TOL)
@@ -138,56 +217,18 @@ def _transform_z_to_1mz(a: complex, b: complex, c: complex, x: float) -> complex
             _gamma(c)
             * _gamma(-w)
             / (_gamma(a) * _gamma(b))
-            * cmath.exp(w * math.log(x))
+            * np.exp(w * np.log(x))
             * _gauss_series(c - a, c - b, 1 + w, x)
         )
         return t1 + t2
     if m < 0:
         # Euler reflection turns c-a-b = -|m| into +|m|, then the log case
-        return cmath.exp(w * math.log(x)) * _transform_z_to_1mz(c - a, c - b, c, x)
+        return np.exp(w * np.log(x)) * _transform_z_to_1mz(c - a, c - b, c, x)
     return _log_case(a, b, m, x)
 
 
-def hyp2f1(
-    a: complex,
-    b: complex,
-    c: complex,
-    z: float,
-    *,
-    one_minus_z: float | None = None,
-) -> complex:
-    """Gauss hypergeometric function 2F1(a,b;c;z) for real z < 1.
-
-    Parameters
-    ----------
-    a, b, c : complex
-        Parameters; c must not be a nonpositive integer.
-    z : float
-        Real argument.  Any finite z is accepted when a or b is a
-        nonpositive integer (terminating polynomial); otherwise z < 1, with
-        the direct series for |z| <= 0.95, the z -> 1-z connection formulas
-        on (0.95, 1) and the Pfaff reflection for z < -0.95.
-    one_minus_z : float, optional
-        Exact value of 1-z when the caller can compute it without
-        cancellation (the kernel evaluations can); used by the z -> 1-z
-        transform and as the Euler/log power base.
-
-    Notes
-    -----
-    When c-a-b is within 1e-8 of an integer the transform switches to the
-    logarithmic-case expansion; parameters between ~1e-8 and ~1e-6 from that
-    set lose accuracy near z = 1 through cancellation of the two generic
-    connection terms.
-    """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError("z must be finite")
-    if _nonpositive_int(c) is not None:
-        raise InvalidParam(f"c={c} is a nonpositive integer (2F1 pole)")
-
+def _hyp2f1(a: complex, b: complex, c: complex, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # branch dispatch on flat arrays; x holds 1 - z
     ka = _nonpositive_int(a)
     kb = _nonpositive_int(b)
     if ka is not None or kb is not None:
@@ -200,35 +241,86 @@ def hyp2f1(
             k, other = kb, a
         return _polynomial_sum(k, other, c, z)
 
-    if z == 0.0:
-        return 1.0 + 0.0j
-    if abs(z) <= _SERIES_CUT:
+    series = np.abs(z) <= _SERIES_CUT
+    if series.all():
         return _gauss_series(a, b, c, z)
-    if z < 0.0:
+    out = np.empty(z.size, dtype=complex)
+    if series.any():
+        out[series] = _gauss_series(a, b, c, z[series])
+    pfaff = z < -_SERIES_CUT
+    if pfaff.any():
         # Pfaff reflection: argument z/(z-1) lands in (0, 1); for very
         # negative z it approaches 1, so reroute through the full dispatch
         # with the exact 1 - z/(z-1) = 1/(1-z)
-        zp = z / (z - 1.0)
-        if zp > _SERIES_CUT:
-            inner = hyp2f1(a, c - b, c, zp, one_minus_z=1.0 / (1.0 - z))
-        else:
-            inner = _gauss_series(a, c - b, c, zp)
-        return cmath.exp(-a * math.log(1.0 - z)) * inner
-    # for z rounding to 1.0 the caller-supplied complement still resolves
-    # the argument; only a nonpositive complement is actually divergent
-    x = one_minus_z if one_minus_z is not None else 1.0 - z
-    if x <= 0.0:
-        raise DivergentSeries(f"2F1 diverges for z={z} >= 1")
-    return _transform_z_to_1mz(a, b, c, x)
+        zn = z[pfaff]
+        inner = _hyp2f1(a, c - b, c, zn / (zn - 1.0), 1.0 / (1.0 - zn))
+        out[pfaff] = np.exp(-a * np.log(1.0 - zn)) * inner
+    near = z > _SERIES_CUT
+    if near.any():
+        # for z rounding to 1.0 the caller-supplied complement still
+        # resolves the argument; only a nonpositive complement is divergent
+        xn = x[near]
+        if (xn <= 0.0).any():
+            raise DivergentSeries(f"2F1 diverges for z={float(z[near][xn <= 0.0][0])} >= 1")
+        out[near] = _transform_z_to_1mz(a, b, c, xn)
+    return out
+
+
+def hyp2f1(
+    a: complex,
+    b: complex,
+    c: complex,
+    z,
+    *,
+    one_minus_z=None,
+):
+    """Gauss hypergeometric function 2F1(a,b;c;z) for real z < 1.
+
+    Parameters
+    ----------
+    a, b, c : complex
+        Parameters; c must not be a nonpositive integer.
+    z : float or array of float
+        Real argument; an array gives an array of values, a scalar a
+        complex.  Any finite z is accepted when a or b is a nonpositive
+        integer (terminating polynomial); otherwise z < 1, with the direct
+        series for |z| <= 0.95, the z -> 1-z connection formulas on
+        (0.95, 1) and the Pfaff reflection for z < -0.95.
+    one_minus_z : float or array, optional
+        Exact value of 1-z when the caller can compute it without
+        cancellation (the kernel evaluations can); used by the z -> 1-z
+        transform and as the Euler/log power base.
+
+    Notes
+    -----
+    When c-a-b is within 1e-8 of an integer the transform switches to the
+    logarithmic-case expansion; parameters between ~1e-8 and ~1e-6 from that
+    set lose accuracy near z = 1 through cancellation of the two generic
+    connection terms.  Series coefficients are cached per parameter set.
+    """
+    a = complex(a)
+    b = complex(b)
+    c = complex(c)
+    zs = np.asarray(z, dtype=float)
+    if not np.isfinite(zs).all():
+        raise DomainError("z must be finite")
+    if _nonpositive_int(c) is not None:
+        raise InvalidParam(f"c={c} is a nonpositive integer (2F1 pole)")
+    if one_minus_z is None:
+        x = 1.0 - zs
+    else:
+        x = np.broadcast_to(np.asarray(one_minus_z, dtype=float), zs.shape)
+    out = _hyp2f1(a, b, c, zs.ravel(), x.ravel())
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 # ---------------------------------------------------------------------------
 # Half-integer Bessel functions
 
 
-def _sph_jn_trig(ell: int, z: float) -> float:
+def _sph_jn_trig(ell: int, z):
     # closed trig forms, ell <= 2
-    s, co = math.sin(z), math.cos(z)
+    s, co = np.sin(z), np.cos(z)
     if ell == 0:
         return s / z
     if ell == 1:
@@ -236,24 +328,24 @@ def _sph_jn_trig(ell: int, z: float) -> float:
     return (3.0 / (z * z * z) - 1.0 / z) * s - 3.0 * co / (z * z)
 
 
-def _sph_jn_series(ell: int, z: float) -> float:
+def _sph_jn_series(ell: int, z):
     # ascending series, cancellation-free; used for z < 1 where the trig
     # forms subtract nearly equal 1/z^k terms
-    pref = 1.0
+    pref = np.ones_like(z)
     for n in range(1, ell + 1):
-        pref *= z / (2 * n + 1)
+        pref = pref * z / (2 * n + 1)
     w = -0.5 * z * z
-    term = 1.0
-    s = 1.0
+    term = np.ones_like(z)
+    s = np.ones_like(z)
     for k in range(1, 40):
-        term *= w / (k * (2 * ell + 2 * k + 1))
-        s += term
-        if abs(term) <= 1e-17 * abs(s):
+        term = term * w / (k * (2 * ell + 2 * k + 1))
+        s = s + term
+        if (np.abs(term) <= 1e-17 * np.abs(s)).all():
             break
     return pref * s
 
 
-def _sph_jn_up(ell: int, z: float) -> float:
+def _sph_jn_up(ell: int, z):
     # upward recurrence, stable for z > nu
     jm, j = _sph_jn_trig(0, z), _sph_jn_trig(1, z)
     for n in range(1, ell):
@@ -288,22 +380,28 @@ def _sph_jn_miller(ell: int, z: float) -> float:
     return out * scale
 
 
-def bessel_j_half(ell: int, z: float) -> float:
-    """Bessel function of half-integer order, J_{ell+1/2}(z), for z > 0."""
+def bessel_j_half(ell: int, z):
+    """Bessel function of half-integer order, J_{ell+1/2}(z), for z > 0
+    (scalar or array)."""
     if ell < 0 or ell != int(ell):
         raise InvalidParam(f"ell must be a nonnegative integer, got {ell}")
-    if z <= 0.0:
+    zs = np.asarray(z, dtype=float)
+    if not (zs > 0.0).all():
         raise DomainError(f"bessel_j_half requires z > 0, got {z}")
     ell = int(ell)
-    if z < 1.0:
-        j = _sph_jn_series(ell, z)
-    elif ell <= 2:
-        j = _sph_jn_trig(ell, z)
-    elif z > ell + 0.5:
-        j = _sph_jn_up(ell, z)
+    flat = zs.ravel()
+    j = np.empty(flat.shape)
+    small = flat < 1.0
+    j[small] = _sph_jn_series(ell, flat[small])
+    if ell <= 2:
+        j[~small] = _sph_jn_trig(ell, flat[~small])
     else:
-        j = _sph_jn_miller(ell, z)
-    return math.sqrt(2.0 * z / math.pi) * j
+        up = ~small & (flat > ell + 0.5)
+        j[up] = _sph_jn_up(ell, flat[up])
+        miller = ~small & ~up
+        j[miller] = [_sph_jn_miller(ell, float(v)) for v in flat[miller]]
+    out = np.sqrt(2.0 * flat / math.pi) * j
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 @lru_cache(maxsize=None)
@@ -338,8 +436,8 @@ def bessel_trig_split(ell: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(a_cur), tuple(b_cur)
 
 
-def polyval_ascending(coeffs: tuple[float, ...], u: float) -> float:
-    """Horner evaluation of sum_k coeffs[k] u^k."""
+def polyval_ascending(coeffs: tuple[float, ...], u):
+    """Horner evaluation of sum_k coeffs[k] u^k (u scalar or array)."""
     acc = 0.0
     for ck in reversed(coeffs):
         acc = acc * u + ck
@@ -350,21 +448,23 @@ def polyval_ascending(coeffs: tuple[float, ...], u: float) -> float:
 # Laguerre, spherical harmonics, incomplete gamma
 
 
-def assoc_laguerre(k: int, alpha: float, x: float) -> float:
-    """Associated Laguerre polynomial L_k^alpha(x) by three-term recurrence."""
+def assoc_laguerre(k: int, alpha: float, x):
+    """Associated Laguerre polynomial L_k^alpha(x) by three-term recurrence
+    (x scalar or array)."""
     if k < 0 or k != int(k):
         raise InvalidParam(f"k must be a nonnegative integer, got {k}")
     if alpha <= -1.0:
         raise InvalidParam(f"alpha must be > -1, got {alpha}")
-    if x < 0.0:
+    xs = np.asarray(x, dtype=float)
+    if (xs < 0.0).any():
         raise DomainError(f"x must be >= 0, got {x}")
     k = int(k)
     if k == 0:
-        return 1.0
-    lm, l = 1.0, 1.0 + alpha - x
+        return np.ones_like(xs)[()]
+    lm, l = 1.0, 1.0 + alpha - xs
     for j in range(1, k):
-        lm, l = l, ((2 * j + 1 + alpha - x) * l - (j + alpha) * lm) / (j + 1)
-    return l
+        lm, l = l, ((2 * j + 1 + alpha - xs) * l - (j + alpha) * lm) / (j + 1)
+    return l[()]
 
 
 def _legendre_pmm(m: int, x: float) -> float:

@@ -4,6 +4,7 @@ determinism across parallelism degrees."""
 import json
 import math
 
+import jsonschema
 import pytest
 
 from dswave import (
@@ -14,7 +15,7 @@ from dswave import (
     kernel_eval,
     pionic_mode,
 )
-from dswave.cli import main
+from dswave.cli import _SCHEMA, main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,6 +83,17 @@ class TestEval:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_late_time_overflow_flags_and_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--ell", "1", "--mass", "2.0", "--r", "0.7",
+            "--t", "400", "--jobs", "1",
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        row = out.splitlines()[1].split(",")
+        assert row[5] == "NonFiniteIntegrand"
+        assert math.isnan(float(row[2]))
+
     def test_json_embeds_resolved_config(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--r", "1.0", "--t", "0.5", "--format", "json",
@@ -146,6 +158,10 @@ class TestConfigErrors:
 
     def test_missing_config_file(self, capsys):
         assert run(capsys, "eval", "--config", "/nonexistent.json")[0] == 1
+
+    def test_schema_is_valid(self):
+        # the validator is built once at import, without a schema check
+        jsonschema.validators.validator_for(_SCHEMA).check_schema(_SCHEMA)
 
     def test_bad_flag_value_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -247,6 +263,28 @@ class TestKernels:
         ev = kernel_eval(0.1, 1.0, PhysicalParams(H=1.0, m=1.0))
         assert float(row["k0_re"]) == ev.k0.real
         assert float(row["comb_re"]) == (2.0 * ev.k0 + 3.0 * ev.k1).real
+
+    def test_every_csv_cell_parses(self, capsys):
+        code, out, _ = run(
+            capsys, "kernels", "--format", "csv", "--mass", "1.4142135623730951",
+            "--r", "0:0.9:10", "--t", "3:12:10",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 101
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[-1] == "ok"
+            for cell in cells[:-1]:
+                float(cell)
+
+    def test_late_time_rows_flagged(self, capsys):
+        code, out, _ = run(
+            capsys, "kernels", "--mass", "2.0", "--r", "0.5,1.0", "--t", "400,746"
+        )
+        assert code == 2
+        flags = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        assert flags == ["ok", "DomainError", "DomainError", "DomainError"]
 
     def test_inadmissible_point_flags_and_exits_two(self, capsys):
         code, out, _ = run(capsys, "kernels", "--r", "0.0,0.9", "--t", "0.1")

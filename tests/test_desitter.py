@@ -24,12 +24,15 @@ from dswave import (
     field_riemann_huygens,
     gaussian_profile,
     integrate_finite,
+    ita_assemble,
     ita_remainder,
     pionic_mode,
     pionic_profile,
     scaled_profile,
     spherical_harmonic,
+    wave_block,
 )
+from dswave import errors
 from dswave.desitter import FieldGrid
 
 SQRT2 = math.sqrt(2.0)
@@ -131,6 +134,36 @@ class TestAssemblyAnchors:
         with pytest.raises(DomainError):
             ita_remainder(mode, params, 0.5, -1.0)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "field_riemann",
+            "field_riemann_huygens",
+            "field_hankel",
+            "field_hankel_huygens",
+            "ita_remainder",
+            "ita_assemble",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "r,t", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_non_finite_point_is_domain_error(self, entry, r, t):
+        mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
+        params = PhysicalParams(H=1.0, m=SQRT2)
+        calls = {
+            "field_riemann": lambda: field_riemann(mode, params, r, t),
+            "field_riemann_huygens": lambda: field_riemann_huygens(mode, params, r, t),
+            "field_hankel": lambda: field_hankel(mode, params, r, t),
+            "field_hankel_huygens": lambda: field_hankel_huygens(mode, params, r, t),
+            "ita_remainder": lambda: ita_remainder(mode, params, r, t),
+            "ita_assemble": lambda: ita_assemble(
+                lambda rr, s: wave_block(mode.f0, 1, rr, s), params, r, t
+            ),
+        }
+        with pytest.raises(DomainError):
+            calls[entry]()
+
     def test_weak_small_r_exponent_rejected(self):
         # r^{mu-1/2} data with mu <= ell - 3/2 cannot feed an ell block
         bad = RadialProfile(func=lambda x: x**-0.3, mu=0.2, parity_ell=2)
@@ -196,6 +229,16 @@ class TestEvaluateGrid:
         assert len(samples) == 6
         assert samples[0].r == 0.5 and samples[0].t == 0.0
         assert samples[0].method == "riemann"
+
+    def test_late_time_overflow_is_flagged(self):
+        # at H t = 400 the endpoint-layer kernels leave the binary64 range
+        mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
+        params = PhysicalParams(H=1.0, m=2.0)
+        field = evaluate_grid(mode, params, "riemann", [0.7], [1.0, 400.0])
+        ok, late = field.grid.err_flags[0]
+        assert ok == "ok"
+        assert issubclass(getattr(errors, late), errors.QuadratureFailure)
+        assert math.isnan(field.grid.values[0, 1].real)
 
     def test_unknown_method_rejected(self):
         mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))

@@ -4,6 +4,7 @@ endpoint-layer parametrization."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,29 @@ class TestKernelEval:
         assert kernel_combination(r, t, p) == pytest.approx(
             2.0 * ev.k0 + 3.0 * p.H * ev.k1, rel=1e-15
         )
+
+    def test_arrays_match_scalar_calls(self):
+        p = PhysicalParams(H=1.0, m=2.0)
+        t = 2.4
+        rs = np.linspace(0.0, 0.999, 7) * phi_of_t(t, 1.0)
+        ev = kernel_eval(rs, t, p)
+        assert ev.k0.shape == ev.k1.shape == rs.shape
+        for r, k0, k1 in zip(rs, ev.k0, ev.k1):
+            one = kernel_eval(float(r), t, p)
+            assert k0 == pytest.approx(one.k0, rel=1e-13)
+            assert k1 == pytest.approx(one.k1, rel=1e-13)
+        comb = kernel_combination(rs, t, p)
+        assert comb == pytest.approx(2.0 * ev.k0 + 3.0 * ev.k1, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [400.0, 746.0, 800.0])
+    def test_beyond_binary64_is_domain_error(self, t):
+        # K0 near the light cone at H t = 400 overflows; at H t >= 746 the
+        # damping e^{-H t} itself underflows to zero
+        p = PhysicalParams(H=1.0, m=2.0)
+        with pytest.raises(DomainError):
+            kernel_eval(1.0, t, p)
+        with pytest.raises(DomainError):
+            kernel_eval_endpoint(2.0, t, p)
 
     def test_domain_errors(self):
         p = PhysicalParams(H=1.0, m=1.0)

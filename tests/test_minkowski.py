@@ -97,6 +97,22 @@ class TestWaveBlock:
             PIONIC_BLOCK_21_09_06, rel=1e-10
         )
 
+    def test_array_of_times_equals_scalar_calls(self):
+        # one batch of tail integrals, each refined as it would be alone
+        for prof, ell in ((gaussian_profile(2), 2), (pionic_profile(2, 1, 1), 1)):
+            ts = np.array([[0.0, 0.3, 0.8], [0.9, 2.5, 4.0]])
+            got = wave_block(prof, ell, 0.9, ts)
+            assert got.shape == ts.shape
+            for t, g in zip(ts.ravel(), got.ravel()):
+                assert g == pytest.approx(wave_block(prof, ell, 0.9, float(t)), rel=1e-15)
+
+    def test_profiles_take_arrays(self):
+        xs = np.array([-0.4, 0.0, 0.7, 2.0])
+        for prof in (gaussian_profile(1), gaussian_profile(2), pionic_profile(2, 1, 1)):
+            got = prof(xs)
+            assert got == pytest.approx([prof(float(x)) for x in xs], rel=1e-15)
+            assert prof.r_f(xs) == pytest.approx([prof.r_f(float(x)) for x in xs], rel=1e-15)
+
     def test_monopole_is_the_traveling_average(self):
         prof = gaussian_profile(0)
         for r, t in [(0.5, 0.2), (0.5, 2.7)]:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dswave import (
@@ -15,6 +16,7 @@ from dswave import (
     integrate_finite,
     integrate_semi_infinite_oscillatory,
 )
+from dswave.quadrature import integrate_batch
 from dswave.specfun import bessel_j_half
 
 
@@ -37,15 +39,15 @@ class TestIntegrateFinite:
         assert res.err_est <= max(DEFAULT_SPEC.abs_tol, abs(res.value) * 1e-7)
 
     def test_complex_integrand(self):
-        res = integrate_finite(lambda x: complex(math.cos(x), math.sin(x)), 0.0, math.pi)
+        res = integrate_finite(lambda x: np.cos(x) + 1j * np.sin(x), 0.0, math.pi)
         assert res.value == pytest.approx(2j, rel=1e-12)
 
     def test_rejects_reversed_limits(self):
         with pytest.raises(InvalidParam):
-            integrate_finite(lambda x: math.exp(-x), 2.0, 0.0)
+            integrate_finite(lambda x: np.exp(-x), 2.0, 0.0)
 
     def test_endpoint_singularity(self):
-        res = integrate_finite(lambda x: 1.0 / math.sqrt(x), 1e-300, 1.0)
+        res = integrate_finite(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0)
         assert res.value == pytest.approx(2.0, rel=1e-9)
 
     def test_split_points_resolve_interior_kink(self):
@@ -61,24 +63,74 @@ class TestIntegrateFinite:
     def test_tolerance_failure_carries_best_estimate(self):
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
         with pytest.raises(ToleranceNotMet) as info:
-            integrate_finite(lambda x: math.cos(40.0 * x * x), 0.0, 3.0, spec)
+            integrate_finite(lambda x: np.cos(40.0 * x * x), 0.0, 3.0, spec)
         assert math.isfinite(info.value.err_est)
         assert abs(info.value.value) < 10.0  # the estimate itself stays sane
 
     def test_nan_integrand_detected(self):
         with pytest.raises(NonFiniteIntegrand):
-            integrate_finite(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0)
+            integrate_finite(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+
+
+class TestIntegrateBatch:
+    def test_batch_equals_integrals_done_one_at_a_time(self):
+        # each integral of a batch is refined on its own: same bits as alone
+        freq = np.array([0.5, 3.0, 17.0, 40.0])
+        hi = np.array([1.0, 2.0, 0.5, 3.0])
+        batch = integrate_batch(lambda x, k: np.exp(1j * freq[k] * x * x), 0.0, hi)
+        for i in range(freq.size):
+            one = integrate_finite(lambda x: np.exp(1j * freq[i] * x * x), 0.0, hi[i])
+            assert batch.value[i] == one.value
+            assert batch.err_est[i] == one.err_est
+
+    def test_shapes_and_empty_intervals(self):
+        a = np.array([[0.0, 1.0], [2.0, 3.0]])
+        res = integrate_batch(lambda x, k: x, a, 3.0)
+        assert res.value.shape == (2, 2)
+        want = 0.5 * (9.0 - a**2)
+        assert np.allclose(res.value, want, rtol=1e-14, atol=0.0)
+        assert res.err_est[1, 1] == 0.0
+
+    def test_split_points_apply_to_every_integral(self):
+        spec = QuadratureSpec(singularity_split_points=(1.0,))
+        lo = np.array([0.0, 0.5, 1.5])
+        res = integrate_batch(lambda x, k: np.abs(x - 1.0), lo, 2.0, spec)
+        want = [1.0, 0.625, 0.375]
+        assert res.value.real == pytest.approx(want, rel=1e-13)
+
+    def test_tolerance_failure_carries_every_estimate(self):
+        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
+        freq = np.array([1.0, 40.0])
+        with pytest.raises(ToleranceNotMet) as info:
+            integrate_batch(lambda x, k: np.cos(freq[k] * x * x), [0.0, 0.0], 3.0, spec)
+        value, err = info.value.value, info.value.err_est
+        assert value.shape == err.shape == (2,)
+        # the smooth integral converged inside the failing batch
+        alone = integrate_finite(lambda x: np.cos(x * x), 0.0, 3.0, spec)
+        assert value[0] == alone.value and err[0] <= 1e-13
+        assert err[1] > 1e-13 and np.isfinite(err[1])
+
+    def test_nan_in_one_integral_is_detected(self):
+        shift = np.array([0.0, 0.6])
+        with pytest.raises(NonFiniteIntegrand):
+            integrate_batch(
+                lambda x, k: np.where(x + shift[k] > 1.2, np.nan, 1.0), [0.0, 0.0], 1.0
+            )
+
+    def test_rejects_reversed_limits(self):
+        with pytest.raises(InvalidParam):
+            integrate_batch(lambda x, k: x, [0.0, 2.0], [1.0, 1.0])
 
 
 class TestSemiInfiniteOscillatory:
     def test_plain_exponential_decay(self):
-        res = integrate_semi_infinite_oscillatory(lambda x: math.exp(-2.0 * x), 1.0)
+        res = integrate_semi_infinite_oscillatory(lambda x: np.exp(-2.0 * x), 1.0)
         assert res.value == pytest.approx(0.5, rel=1e-9)
 
     def test_oscillatory_algebraic_decay(self):
         # int_0^inf cos(x)/(1+x^2) dx = pi/(2 e)
         res = integrate_semi_infinite_oscillatory(
-            lambda x: math.cos(x) / (1.0 + x * x), 2.0 * math.pi
+            lambda x: np.cos(x) / (1.0 + x * x), 2.0 * math.pi
         )
         assert res.value == pytest.approx(math.pi / (2.0 * math.e), rel=1e-8)
 
@@ -86,7 +138,7 @@ class TestSemiInfiniteOscillatory:
         # int_0^inf J_{1/2}(x) dx = 1; the x^{-1/2} envelope leans on the
         # alternating-series acceleration
         res = integrate_semi_infinite_oscillatory(
-            lambda x: bessel_j_half(0, x) if x > 0 else 0.0, 2.0 * math.pi
+            lambda x: bessel_j_half(0, x), 2.0 * math.pi
         )
         assert res.value == pytest.approx(1.0, rel=1e-6)
 
@@ -96,7 +148,7 @@ class TestSemiInfiniteOscillatory:
 
         want = -1.0 / math.pi - 0.5 * math.pi + float(sici(math.pi)[0])
         res = integrate_semi_infinite_oscillatory(
-            lambda x: math.cos(x) / (x * x),
+            lambda x: np.cos(x) / (x * x),
             2.0 * math.pi,
             start=math.pi,
             first_boundary=1.5 * math.pi,
@@ -111,9 +163,9 @@ class TestSemiInfiniteOscillatory:
         )
         with pytest.raises(TailNotNegligible):
             integrate_semi_infinite_oscillatory(
-                lambda x: (1.0 + math.cos(x)) / (1.0 + x) ** 1.2, 2.0 * math.pi, spec
+                lambda x: (1.0 + np.cos(x)) / (1.0 + x) ** 1.2, 2.0 * math.pi, spec
             )
 
     def test_rejects_bad_period(self):
         with pytest.raises(InvalidParam):
-            integrate_semi_infinite_oscillatory(lambda x: math.exp(-x), 0.0)
+            integrate_semi_infinite_oscillatory(lambda x: np.exp(-x), 0.0)

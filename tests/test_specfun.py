@@ -3,7 +3,9 @@
 invariants."""
 
 import math
+from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,40 @@ class TestHyp2f1:
     def test_frozen_references(self, args, want):
         a, b, c, z = args
         assert hyp2f1(a, b, c, z) == pytest.approx(want, rel=1e-12)
+
+    def test_array_argument_on_every_branch(self):
+        # one call per parameter set with its reference arguments as one
+        # array: series, Pfaff and connection in the same call for the
+        # heavy-mass pair, the log case (c-a-b = 0, 1, 2, and -1 through
+        # the Euler reflection) and the generic connection on their own
+        groups = defaultdict(list)
+        for (a, b, c, z), want in HYP2F1_CASES.items():
+            groups[(a, b, c)].append((z, want))
+        for (a, b, c), items in groups.items():
+            zs = np.array([z for z, _ in items])
+            got = hyp2f1(a, b, c, zs)
+            assert isinstance(got, np.ndarray) and got.shape == zs.shape
+            for g, (_, want) in zip(got, items):
+                assert g == pytest.approx(want, rel=1e-12)
+        got = hyp2f1(0.5, 0.5, 1.0, np.ones((2, 2)), one_minus_z=np.full((2, 2), 2.4e-16))
+        assert got.shape == (2, 2)
+        assert np.all(np.abs(got / HYP2F1_COMPLEMENT - 1.0) <= 1e-12)
+
+    def test_array_matches_scalar_calls(self):
+        # blocks of mixed |z| are cut at the length their largest |z| needs
+        zs = np.concatenate([np.linspace(-30.0, 0.999, 300), [0.0]])
+        got = hyp2f1(A_IM, A_IM, 1.0, zs)
+        for z, g in zip(zs, got):
+            assert g == pytest.approx(hyp2f1(A_IM, A_IM, 1.0, float(z)), rel=1e-13)
+
+    def test_array_polynomial_and_guards(self):
+        y = np.array([0.37, 3.0, -4.0])
+        want = 1.0 - 5.0 * y + 5.0 * y * y
+        assert hyp2f1(-2.0, 5.0, 2.0, y) == pytest.approx(want, rel=1e-14)
+        with pytest.raises(DivergentSeries):
+            hyp2f1(0.5, 0.5, 1.0, np.array([0.3, 1.0]))
+        with pytest.raises(DomainError):
+            hyp2f1(0.5, 0.5, 1.0, np.array([0.3, math.nan]))
 
     def test_gauss_value_at_fixed_points(self):
         # F(a, b; c; 0) = 1 and F(1, 1; 2; z) = -log(1-z)/z
@@ -184,6 +220,18 @@ class TestBesselHalf:
     @pytest.mark.parametrize("args,want", sorted(BESSEL_HALF_CASES.items()))
     def test_frozen_references(self, args, want):
         assert bessel_j_half(*args) == pytest.approx(want, rel=1e-11)
+
+    def test_array_argument(self):
+        # every branch (series below 1, trig forms, upward and Miller
+        # recurrences) through arrays, against the scalar references
+        for (ell, z), want in BESSEL_HALF_CASES.items():
+            got = bessel_j_half(ell, np.array([z, z]))
+            assert got == pytest.approx([want, want], rel=1e-11)
+        zs = np.array([0.3, 2.0, 4.5, 9.0])
+        want = [bessel_j_half(5, float(z)) for z in zs]
+        assert bessel_j_half(5, zs) == pytest.approx(want, rel=1e-15)
+        with pytest.raises(DomainError):
+            bessel_j_half(1, np.array([1.0, 0.0]))
 
     def test_zero_order_closed_form(self):
         z = 1.7
