@@ -104,10 +104,31 @@ def phi_of_t(t: float, H: float) -> float:
     return -math.expm1(-H * t) / H
 
 
+def _args(x, t) -> tuple[np.ndarray, np.ndarray]:
+    # numpy scalars for a single point (their arithmetic skips the array
+    # machinery), broadcast arrays otherwise
+    if isinstance(x, float) and isinstance(t, float):
+        return np.float64(x), np.float64(t)
+    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+
+
+def _all(mask) -> bool:
+    # bool() of a numpy scalar costs a fortieth of its .all()
+    return bool(mask) if mask.ndim == 0 else bool(mask.all())
+
+
 def _first(bad: np.ndarray, *arrays: np.ndarray) -> tuple[float, ...]:
     # the first offending point, for error messages
     i = int(np.flatnonzero(bad)[0])
     return tuple(float(a.ravel()[i]) for a in arrays)
+
+
+def _damping(t, H: float):
+    """q = e^{-H t}, which must not underflow: the kernels divide by it."""
+    q = np.exp(-H * t)
+    if not _all(q > 0.0):
+        raise DomainError(f"e^(-H t) underflows at t={_first(~(q > 0.0), t)[0]}")
+    return q
 
 
 def kernel_eval(r, t, params: PhysicalParams) -> KernelEval:
@@ -122,12 +143,12 @@ def kernel_eval(r, t, params: PhysicalParams) -> KernelEval:
     H = params.H
     if H <= 0.0:
         raise DomainError("kernels require H > 0")
-    rs, ts = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    if not (rs >= 0.0).all():
+    rs, ts = _args(r, t)
+    if not _all(rs >= 0.0):
         raise DomainError(f"r must be >= 0, got {_first(~(rs >= 0.0), rs)[0]}")
-    if not (ts >= 0.0).all():
+    if not _all(ts >= 0.0):
         raise DomainError(f"t must be >= 0, got {_first(~(ts >= 0.0), ts)[0]}")
-    q = np.exp(-H * ts)
+    q = _damping(ts, H)
     hs = H * rs
     # both squares differences are factored through u = 1 - H r, exact for
     # H r in [1/2, 2]: near the light cone D and the numerator are O(q), and
@@ -135,7 +156,7 @@ def kernel_eval(r, t, params: PhysicalParams) -> KernelEval:
     # which the K0 assembly amplifies by up to 1/q
     u = 1.0 - hs
     d = (q + u) * (2.0 + q - u)
-    if not (d > 0.0).all():
+    if not _all(d > 0.0):
         rr, tt = _first(~(d > 0.0), rs, ts)
         raise DomainError(
             f"kernel undefined at r={rr}, t={tt}: denominator (1+q)^2-(Hr)^2 <= 0"
@@ -145,15 +166,13 @@ def kernel_eval(r, t, params: PhysicalParams) -> KernelEval:
     # light cone: the relative clause covers small H t, where u is itself
     # rounded, the absolute one large H t, where D ~ 4q is tiny
     outside = (num < 0.0) & ~((num > -1e-12 * d) | (u - q >= -4.0 * _EPS * hs))
-    if outside.any():
+    if not _all(~outside):
         rr, tt = _first(outside, rs, ts)
         raise DomainError(f"kernel undefined at r={rr}, t={tt}: H r exceeds 1 - e^(-H t)")
     num = np.maximum(num, 0.0)
     z = num / d
     one_minus = 4.0 * q / d  # exact complement of z, no cancellation
-    with np.errstate(divide="ignore", over="ignore"):
-        d_over_q = d / q
-    return _assemble(params, rs, ts, q, hs * hs, d_over_q, np.log(d), z, one_minus)
+    return _assemble(params, rs, ts, q, hs * hs, d / q, np.log(d), z, one_minus)
 
 
 def _assemble(
@@ -167,8 +186,6 @@ def _assemble(
     z: np.ndarray,
     one_minus: np.ndarray,
 ) -> KernelEval:
-    if not (q > 0.0).all():
-        raise DomainError(f"e^(-H t) underflows at t={_first(~(q > 0.0), t)[0]}")
     H = params.H
     mh = params.M / H
     m_ = params.M
@@ -181,9 +198,9 @@ def _assemble(
         term1 = d_over_q * (-hr2 * m_ + m_ * q * q + H * q + H - m_) * f1
         term2 = (H - 2.0 * m_) ** 2 * (q * q - 1.0 - hr2) / H * f2
         k0 = -q * np.exp(-mh * _LN4 + m_ * t + (mh - 2.5) * ln_d) * (term1 + term2)
-    bad = ~(np.isfinite(k0) & np.isfinite(k1))
-    if bad.any():
-        rr, tt = _first(bad, r, t)
+    finite = np.isfinite(k0) & np.isfinite(k1)
+    if not _all(finite):
+        rr, tt = _first(~finite, r, t)
         raise DomainError(f"kernels at r={rr}, t={tt} exceed the binary64 range")
     if r.ndim == 0:
         return KernelEval(
@@ -205,14 +222,14 @@ def kernel_eval_endpoint(xi, t, params: PhysicalParams) -> KernelEval:
     H = params.H
     if H <= 0.0:
         raise DomainError("kernels require H > 0")
-    xs, ts = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(t, dtype=float))
-    if not (ts >= 0.0).all():
+    xs, ts = _args(xi, t)
+    if not _all(ts >= 0.0):
         raise DomainError(f"t must be >= 0, got {_first(~(ts >= 0.0), ts)[0]}")
-    q = np.exp(-H * ts)
-    if not (xs >= 1.0 - 1e-9).all():
+    q = _damping(ts, H)
+    if not _all(xs >= 1.0 - 1e-9):
         bad = _first(~(xs >= 1.0 - 1e-9), xs)[0]
         raise DomainError(f"endpoint parametrization needs xi >= 1, got {bad}")
-    if (xs * q > 1.0).any():
+    if not _all(xs * q <= 1.0):
         xx, tt = _first(xs * q > 1.0, xs, ts)
         raise DomainError(f"xi={xx} puts the radius below 0 at t={tt}")
     xs = np.maximum(xs, 1.0)

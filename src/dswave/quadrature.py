@@ -17,7 +17,6 @@ is refined on its own, so it comes out as it would alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -240,30 +239,13 @@ def integrate_finite(
     intervals, or no progress), and NonFiniteIntegrand if f returns nan/inf
     inside the range.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InvalidParam(f"integrate_finite requires finite limits, got ({a}, {b})")
-    if a > b:
-        raise InvalidParam(f"integrate_finite requires a <= b, got ({a}, {b})")
-    if a == b:
-        return IntegralResult(0j, 0.0)
-    value, err, tol = quad(
-        lambda x, k: f(x),
-        np.array([float(a)]),
-        np.array([float(b)]),
-        spec.abs_tol,
-        spec.rel_tol,
-        spec.max_subdivisions,
-        spec.singularity_split_points,
-    )
-    v, e = complex(value[0]), float(err[0])
-    if e > tol[0]:
+    try:
+        res = integrate_batch(lambda x, k: f(x), a, b, spec)
+    except ToleranceNotMet as exc:
         raise ToleranceNotMet(
-            f"integrate_finite on [{a}, {b}]: err_est {e:.3e} > tol {tol[0]:.3e} "
-            "(subdivision limit or no progress)",
-            value=v,
-            err_est=e,
-        )
-    return IntegralResult(v, e)
+            str(exc), value=complex(exc.value), err_est=float(exc.err_est)
+        ) from None
+    return IntegralResult(complex(res.value), float(res.err_est))
 
 
 def integrate_batch(
@@ -283,9 +265,10 @@ def integrate_batch(
     shape = a.shape
     a, b = a.ravel(), b.ravel()
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidParam("integrate_batch requires finite limits")
+        raise InvalidParam("integration limits must be finite")
     if (a > b).any():
-        raise InvalidParam("integrate_batch requires a <= b for every integral")
+        i = int(np.argmax(a > b))
+        raise InvalidParam(f"integration requires a <= b, got ({a[i]}, {b[i]})")
     value = np.zeros(a.size, dtype=complex)
     err = np.zeros(a.size)
     tol = np.full(a.size, np.inf)
@@ -300,16 +283,18 @@ def integrate_batch(
             spec.max_subdivisions,
             spec.singularity_split_points,
         )
-    value, err = value.reshape(shape), err.reshape(shape)
-    missed = int((err.ravel() > tol).sum())
-    if missed:
+    missed = err > tol
+    if missed.any():
+        i = int(np.argmax(missed))
+        more = int(missed.sum()) - 1
         raise ToleranceNotMet(
-            f"integrate_batch: {missed} of {a.size} integrals above tolerance "
-            "(subdivision limit or no progress)",
-            value=value,
-            err_est=err,
+            f"integral on [{a[i]}, {b[i]}]: err_est {err[i]:.3e} > tol {tol[i]:.3e} "
+            "(subdivision limit or no progress)"
+            + (f", and {more} more of {a.size}" if more else ""),
+            value=value.reshape(shape),
+            err_est=err.reshape(shape),
         )
-    return IntegralResult(value, err)
+    return IntegralResult(value.reshape(shape), err.reshape(shape))
 
 
 def _euler_limit(cells: list[complex]) -> complex:

@@ -69,7 +69,11 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def _dot(coef: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # complex coefficients against real powers, without complex promotion
+    # complex coefficients against real powers: large blocks without the
+    # complex promotion of p (4x faster at 700 x 256), small ones in one
+    # call (3x faster at 30 x 1)
+    if p.size <= 4096:
+        return coef @ p
     return coef.real @ p + 1j * (coef.imag @ p)
 
 
@@ -77,14 +81,14 @@ _K = np.arange(_SERIES_MAX_TERMS)
 _LN_CUT = math.log(0.1 * _SERIES_EPS)
 
 
-def _series_terms(log_bound: np.ndarray, xmax: float) -> int:
+def _series_terms(log_bound: list[float], xmax: float) -> int:
     """Terms until the bound on |c_k| xmax^k stays below 1e-17, at least 3:
     the first guess of a series length, which the tail check confirms."""
     if xmax <= 0.0:
         return 3
     lnx = math.log(xmax)
     # the bound is nonincreasing in k: bisect for its first crossing
-    lo, hi = 0, _SERIES_MAX_TERMS
+    lo, hi = 0, len(log_bound)
     while lo < hi:
         mid = (lo + hi) // 2
         if log_bound[mid] + mid * lnx < _LN_CUT:
@@ -94,57 +98,59 @@ def _series_terms(log_bound: np.ndarray, xmax: float) -> int:
     return min(_SERIES_MAX_TERMS, max(3, lo + 2))
 
 
-def _tail_bound(coef: np.ndarray) -> np.ndarray:
-    # log of max_{j >= k} |c_j|
+def _tail_bound(coef: np.ndarray) -> list[float]:
+    # log of max_{j >= k} |c_j|, as a list for cheap indexing
     with np.errstate(divide="ignore"):
-        return np.maximum.accumulate(np.log(np.abs(coef))[::-1])[::-1]
+        return np.maximum.accumulate(np.log(np.abs(coef))[::-1])[::-1].tolist()
 
 
 @lru_cache(maxsize=128)
-def _gauss_coeffs(a: complex, b: complex, c: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(a)_k (b)_k / ((c)_k k!) for k < _SERIES_MAX_TERMS, and the log of
-    their largest magnitude from k on."""
+def _gauss_coeffs(a: complex, b: complex, c: complex) -> tuple[np.ndarray, ...]:
+    """(a)_k (b)_k / ((c)_k k!) for k < _SERIES_MAX_TERMS, their
+    magnitudes, and the log of their largest magnitude from k on."""
     k = _K[:-1]
     ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0))
     coef = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
-    return coef, _tail_bound(coef)
+    return coef, np.abs(coef)[:, None], _tail_bound(coef)
 
 
-def _blocked_series(rows: np.ndarray, bound: np.ndarray, z: np.ndarray, accept):
+def _blocked_series(rows: np.ndarray, bound: list[float], z: np.ndarray, accept):
     """Power series sum_k rows[j, k] z^k at every argument, in blocks sorted
     by |z|.  A block is cut at the length its largest |z| needs and doubled
-    until accept(sums, idx, n) returns its values (None while the
+    until accept(sums, powers, idx, n) returns its values (None while the
     truncation check fails)."""
+    if z.size <= _SERIES_BLOCK:
+        return _series_block(rows, bound, z, accept, slice(None))
     out = np.empty(z.size, dtype=complex)
-    blocks = [slice(None)]
-    if z.size > _SERIES_BLOCK:
-        order = np.argsort(np.abs(z))
-        blocks = [order[lo:lo + _SERIES_BLOCK] for lo in range(0, z.size, _SERIES_BLOCK)]
-    for idx in blocks:
-        zb = z[idx]
-        zmax = float(np.abs(zb).max())
-        n = _series_terms(bound, zmax)
-        while True:
-            p = _powers(zb, n)
-            values = accept(_dot(rows[:, :n], p), p, idx, n)
-            if values is not None:
-                break
-            if n == _SERIES_MAX_TERMS:
-                raise DivergentSeries(
-                    f"2F1 series did not converge after {n} terms (|z| up to {zmax})"
-                )
-            n = min(2 * n, _SERIES_MAX_TERMS)
-        out[idx] = values
+    order = np.argsort(np.abs(z))
+    for lo in range(0, z.size, _SERIES_BLOCK):
+        idx = order[lo:lo + _SERIES_BLOCK]
+        out[idx] = _series_block(rows, bound, z[idx], accept, idx)
     return out
+
+
+def _series_block(rows, bound, zb, accept, idx) -> np.ndarray:
+    zmax = float(np.abs(zb).max())
+    n = _series_terms(bound, zmax)
+    while True:
+        p = _powers(zb, n)
+        values = accept(_dot(rows[:, :n], p), p, idx, n)
+        if values is not None:
+            return values
+        if n == _SERIES_MAX_TERMS:
+            raise DivergentSeries(
+                f"2F1 series did not converge after {n} terms (|z| up to {zmax})"
+            )
+        n = min(2 * n, _SERIES_MAX_TERMS)
 
 
 def _gauss_series(a: complex, b: complex, c: complex, z: np.ndarray) -> np.ndarray:
     """Plain Gauss series sum_{k} (a)_k(b)_k/((c)_k k!) z^k for |z| < 1,
     stopped where two consecutive terms are below 1e-16 of the sum."""
-    coef, bound = _gauss_coeffs(a, b, c)
+    coef, mag, bound = _gauss_coeffs(a, b, c)
 
     def accept(sums, p, idx, n):
-        last = np.abs(coef[n - 2:n, None]) * np.abs(p[-2:])
+        last = mag[n - 2:n] * np.abs(p[-2:])
         return sums[0] if (last <= _SERIES_EPS * np.abs(sums[0])).all() else None
 
     return _blocked_series(coef[None], bound, z, accept)
@@ -157,9 +163,9 @@ def _polynomial_sum(k: int, b: complex, c: complex, z: np.ndarray) -> np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _log_coeffs(a: complex, b: complex, m: int) -> tuple[np.ndarray, ...]:
-    """c_n = (a+m)_n (b+m)_n / (n! (n+m)!), c_n times the digamma part
-    psi(n+1) + psi(n+m+1) - psi(a+n+m) - psi(b+n+m) of the log-case
+def _log_coeffs(a: complex, b: complex, m: int) -> tuple[np.ndarray, list[float]]:
+    """Rows c_n = (a+m)_n (b+m)_n / (n! (n+m)!) and c_n times the digamma
+    part psi(n+1) + psi(n+m+1) - psi(a+n+m) - psi(b+n+m) of the log-case
     bracket, and the log of the largest |c_j| from n on."""
     n = _K
     ratios = (a + m + n[:-1]) * (b + m + n[:-1]) / ((n[:-1] + 1.0) * (n[:-1] + m + 1.0))
@@ -170,7 +176,7 @@ def _log_coeffs(a: complex, b: complex, m: int) -> tuple[np.ndarray, ...]:
         - _digamma(a + n + m)
         - _digamma(b + n + m)
     )
-    return c, c * psi, _tail_bound(c)
+    return np.stack([c, c * psi]), _tail_bound(c)
 
 
 def _log_case(a: complex, b: complex, m: int, x: np.ndarray) -> np.ndarray:
@@ -193,15 +199,15 @@ def _log_case(a: complex, b: complex, m: int, x: np.ndarray) -> np.ndarray:
         # 1/Gamma at a pole of Gamma: the whole log part vanishes
         return res
     lx = np.log(x)
-    c, cpsi, bound = _log_coeffs(a, b, m)
+    rows, bound = _log_coeffs(a, b, m)
 
     def accept(sums, p, idx, n):
         s = lx[idx] * sums[0] - sums[1]
         # convergence judged on |term|, not the bracket (which can vanish)
-        last = np.abs(c[n - 1]) * p[-1] * (np.abs(lx[idx]) + 8.0)
+        last = np.abs(rows[0, n - 1]) * p[-1] * (np.abs(lx[idx]) + 8.0)
         return s if (last <= _SERIES_EPS * np.abs(s)).all() else None
 
-    return res + lead * x**m * _blocked_series(np.stack([c, cpsi]), bound, x, accept)
+    return res + lead * x**m * _blocked_series(rows, bound, x, accept)
 
 
 def _transform_z_to_1mz(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
@@ -302,15 +308,17 @@ def hyp2f1(
     b = complex(b)
     c = complex(c)
     zs = np.asarray(z, dtype=float)
-    if not np.isfinite(zs).all():
+    flat = zs.reshape(-1)
+    if not np.isfinite(flat).all():
         raise DomainError("z must be finite")
     if _nonpositive_int(c) is not None:
         raise InvalidParam(f"c={c} is a nonpositive integer (2F1 pole)")
     if one_minus_z is None:
-        x = 1.0 - zs
+        x = 1.0 - flat
     else:
-        x = np.broadcast_to(np.asarray(one_minus_z, dtype=float), zs.shape)
-    out = _hyp2f1(a, b, c, zs.ravel(), x.ravel())
+        x = np.asarray(one_minus_z, dtype=float)
+        x = (x if x.shape == zs.shape else np.broadcast_to(x, zs.shape)).reshape(-1)
+    out = _hyp2f1(a, b, c, flat, x)
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
