@@ -177,10 +177,17 @@ def _check_mode(mode: ModeState) -> None:
 
 
 def _check_point(
-    mode: ModeState | None, params: PhysicalParams, r: float, t: float
+    mode: ModeState | None,
+    params: PhysicalParams,
+    r: float,
+    t: float,
+    *,
+    expanding: bool = True,
 ) -> None:
     """Argument checks shared by the point evaluators: a usable mode,
-    finite r > 0 and t >= 0, and an expanding background."""
+    finite r > 0 and t >= 0, and, where the kernel assembly is used
+    (expanding=True), an expanding background.  The collapsing-mass forms
+    also admit the flat limit H = 0."""
     if mode is not None:
         _check_mode(mode)
     if not (math.isfinite(r) and math.isfinite(t)):
@@ -189,7 +196,7 @@ def _check_point(
         raise DomainError(f"r must be > 0, got {r}")
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
-    if params.H <= 0.0:
+    if expanding and params.H <= 0.0:
         raise DomainError("assembly requires H > 0")
 
 
@@ -389,7 +396,7 @@ def field_riemann_huygens(
     """Collapsing-mass field: e^{-H t} [v0(phi(t)) + int_0^{phi(t)}
     (H v0 + v1)(s) ds] times the angular factor."""
     _require_collapse(params)
-    _check_point(mode, params, r, t)
+    _check_point(mode, params, r, t, expanding=False)
     h = params.H
     pt = phi_of_t(t, h)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
@@ -476,7 +483,7 @@ def field_hankel_huygens(
             + int (H fhat0 + fhat1)(lam) sin(lam phi(t)) J dlam ].
     """
     _require_collapse(params)
-    _check_point(mode, params, r, t)
+    _check_point(mode, params, r, t, expanding=False)
     h = params.H
     pt = phi_of_t(t, h)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)

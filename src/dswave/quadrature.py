@@ -6,18 +6,22 @@ Every finite integral runs through one engine, ``quad``: QUADPACK's
 21-point Kronrod rule with its embedded 10-point Gauss rule and error
 heuristic (Piessens et al. 1983), bisected globally, so that one call
 refines a whole batch of independent integrals in a single complex pass.
+Each integral is refined to half its tolerance and then checked against
+the full one, which leaves a margin for the error estimate's own error.
 
 Integrands take arrays.  The integrand of ``integrate_finite`` is called
 with a float ndarray of abscissae and returns an array of the same shape,
 real or complex.  The integrand of ``integrate_batch`` is called as
 ``f(x, k)``, where the integer array k (broadcastable against x) holds the
 index of the integral each abscissa belongs to.  Each integral of a batch
-is refined on its own, so it comes out as it would alone.
+is refined on its own, so it comes out as it would alone.  Exceptions
+raised by an integrand pass through unchanged: a ToleranceNotMet that
+reaches a caller is the miss of whichever integral raised it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -177,14 +181,15 @@ def quad(
     limit: int,
     points: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive G10K21 over the batch int_{a_i}^{b_i} f(x, i) dx, a_i < b_i.
+    """Adaptive G10K21 over the batch int_{a_i}^{b_i} f(x, i) dx, a_i < b_i,
+    on 1-d arrays of limits.
 
     Each integral starts from [a_i, b_i] cut at the points inside it, and
     its intervals with the largest errors are bisected until its summed
-    error is at most max(abs_tol, rel_tol |value|), it holds `limit`
-    intervals, or its summed error has not reached a new low for
-    _STALL_ROUNDS rounds.  Returns the values, the error estimates and the
-    tolerances they were held to.
+    error is at most half of tol_i = max(abs_tol, rel_tol |value_i|), it
+    holds `limit` intervals, or its summed error has not reached a new low
+    for _STALL_ROUNDS rounds.  Returns the values, the error estimates and
+    the tolerances tol_i; an integral has missed where err_i > tol_i.
     """
     n = a.size
     if points:
@@ -207,10 +212,10 @@ def quad(
         room = limit - np.bincount(owner, minlength=n)
         stall = np.where(errsum < best, 0, stall + 1)
         best = np.minimum(best, errsum)
-        need = (errsum > tol) & (room > 0) & (stall < _STALL_ROUNDS)
+        need = (errsum > 0.5 * tol) & (room > 0) & (stall < _STALL_ROUNDS)
         if not need.any():
             return total, errsum, tol
-        sel = _pick(owner, err, errsum, tol, room, need)
+        sel = _pick(owner, err, errsum, 0.5 * tol, room, need)
         mid = 0.5 * (lo[sel] + hi[sel])
         new_lo = np.concatenate([lo[sel], mid])
         new_hi = np.concatenate([mid, hi[sel]])
@@ -239,13 +244,7 @@ def integrate_finite(
     intervals, or no progress), and NonFiniteIntegrand if f returns nan/inf
     inside the range.
     """
-    try:
-        res = integrate_batch(lambda x, k: f(x), a, b, spec)
-    except ToleranceNotMet as exc:
-        raise ToleranceNotMet(
-            str(exc), value=complex(exc.value), err_est=float(exc.err_est)
-        ) from None
-    return IntegralResult(complex(res.value), float(res.err_est))
+    return integrate_batch(lambda x, k: f(x), float(a), float(b), spec)
 
 
 def integrate_batch(
@@ -257,9 +256,10 @@ def integrate_batch(
     """The independent integrals int_{a_i}^{b_i} f(x, i) dx in one pass.
 
     a and b are broadcast to one shape; value and err_est come back as
-    arrays of it.  Each integral is held to the tolerance integrate_finite
-    would hold it to.  A miss on any of them raises ToleranceNotMet
-    carrying the arrays of values and error estimates.
+    arrays of it, or as a complex and a float when both limits are scalars.
+    Each integral is held to the tolerance integrate_finite would hold it
+    to.  A miss on any of them raises ToleranceNotMet carrying the values
+    and error estimates in the same form.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a.shape
@@ -283,6 +283,10 @@ def integrate_batch(
             spec.max_subdivisions,
             spec.singularity_split_points,
         )
+    if shape:
+        out = IntegralResult(value.reshape(shape), err.reshape(shape))
+    else:
+        out = IntegralResult(complex(value[0]), float(err[0]))
     missed = err > tol
     if missed.any():
         i = int(np.argmax(missed))
@@ -291,10 +295,10 @@ def integrate_batch(
             f"integral on [{a[i]}, {b[i]}]: err_est {err[i]:.3e} > tol {tol[i]:.3e} "
             "(subdivision limit or no progress)"
             + (f", and {more} more of {a.size}" if more else ""),
-            value=value.reshape(shape),
-            err_est=err.reshape(shape),
+            value=out.value,
+            err_est=out.err_est,
         )
-    return IntegralResult(value.reshape(shape), err.reshape(shape))
+    return out
 
 
 def _euler_limit(cells: list[complex]) -> complex:
@@ -343,17 +347,20 @@ def integrate_semi_infinite_oscillatory(
     lam_max = trunc.lambda_max
     tail_tol = trunc.tail_tol
     h = 0.5 * period_hint
-    cell_spec = replace(
-        spec,
-        abs_tol=max(spec.abs_tol / 16.0, 1e-15),
-        singularity_split_points=(),
-    )
+    cell_abs_tol = max(spec.abs_tol / 16.0, 1e-15)
 
-    def cell(a: float, b: float) -> IntegralResult:
-        try:
-            return integrate_finite(f, a, b, cell_spec)
-        except ToleranceNotMet as e:
-            return IntegralResult(e.value, e.err_est)
+    def cell(a: float, b: float) -> tuple[complex, float]:
+        # the engine's best estimate of the cell, whether or not it met its
+        # tolerance: the convergence tests below judge the cell sums
+        value, err, _ = quad(
+            lambda x, k: f(x),
+            np.array([a]),
+            np.array([b]),
+            cell_abs_tol,
+            spec.rel_tol,
+            spec.max_subdivisions,
+        )
+        return complex(value[0]), float(err[0])
 
     b_prev = start
     b_next = first_boundary if (first_boundary or 0.0) > start else start + h
@@ -364,10 +371,10 @@ def integrate_semi_infinite_oscillatory(
     stable = 0
     while b_prev < lam_max:
         b_next = min(b_next, lam_max)
-        res = cell(b_prev, b_next)
-        sums.append(res.value)
-        errs += res.err_est
-        total += res.value
+        value, err = cell(b_prev, b_next)
+        sums.append(value)
+        errs += err
+        total += value
         scale = max(abs(total), abs(accel) if accel is not None else 0.0)
         tol = max(spec.abs_tol, spec.rel_tol * scale)
         if len(sums) >= 2:

@@ -94,6 +94,15 @@ class TestEval:
         assert row[5] == "NonFiniteIntegrand"
         assert math.isnan(float(row[2]))
 
+    def test_unreachable_tolerance_flags_and_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--ell", "1", "--r", "0.7", "--t", "2",
+            "--rel-tol", "1e-16", "--abs-tol", "1e-30", "--jobs", "1",
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert out.splitlines()[1].split(",")[5] == "ToleranceNotMet"
+
     def test_json_embeds_resolved_config(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--r", "1.0", "--t", "0.5", "--format", "json",
@@ -230,6 +239,16 @@ class TestDecay:
         assert doc["report"]["regime"] == "critical"
         assert doc["report"]["fitted_exponent"] == pytest.approx(-1.0, abs=0.05)
         assert doc["passed"] is True
+
+    def test_unreachable_quadrature_tolerance_exits_two(self, capsys):
+        # the wave blocks nested in the remainder miss; exit 2, no traceback
+        code, _, err = run(
+            capsys, "decay", "--ell", "1", "--mass", repr(SQRT2), "--decay-r", "0.7",
+            "--t-window", "8,14", "--n-samples", "5",
+            "--rel-tol", "1e-16", "--abs-tol", "1e-30",
+        )
+        assert code == 2
+        assert err.startswith("numerical failure:")
 
     def test_tight_tolerance_exits_three(self, capsys):
         code, out, _ = run(

@@ -14,7 +14,9 @@ from dswave import (
     InvalidParam,
     ModeState,
     PhysicalParams,
+    QuadratureSpec,
     RadialProfile,
+    ToleranceNotMet,
     decay_classify,
     decay_fit,
     evaluate_grid,
@@ -163,6 +165,29 @@ class TestAssemblyAnchors:
         }
         with pytest.raises(DomainError):
             calls[entry]()
+
+    def test_collapsing_forms_admit_the_flat_limit(self):
+        # H = 0, m = 0 is the collapsing mass of flat space: both Huygens
+        # forms reduce to Y_lm times the Minkowski wave block
+        mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
+        params = PhysicalParams(H=0.0, m=0.0)
+        want = spherical_harmonic(1, 0, 0.0, 0.0) * wave_block(mode.f0, 1, 0.7, 1.3)
+        assert field_riemann_huygens(mode, params, 0.7, 1.3) == pytest.approx(want, rel=1e-9)
+        assert field_hankel_huygens(mode, params, 0.7, 1.3) == pytest.approx(want, rel=1e-7)
+        with pytest.raises(DomainError):
+            field_riemann(mode, params, 0.7, 1.3)
+
+    def test_inner_wave_block_miss_is_tolerance_not_met(self):
+        # a tolerance below the rule's roundoff floor cannot be met by the
+        # wave blocks nested in the convolution; their miss surfaces as such
+        mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
+        params = PhysicalParams(H=1.0, m=1.0)
+        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-16)
+        with pytest.raises(ToleranceNotMet):
+            ita_remainder(mode, params, 0.7, 2.0, spec)
+        field = evaluate_grid(mode, params, "riemann", [0.7], [2.0], spec=spec)
+        assert field.grid.err_flags == [["ToleranceNotMet"]]
+        assert math.isnan(field.grid.values[0, 0].real)
 
     def test_weak_small_r_exponent_rejected(self):
         # r^{mu-1/2} data with mu <= ell - 3/2 cannot feed an ell block

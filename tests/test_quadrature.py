@@ -66,6 +66,26 @@ class TestIntegrateFinite:
             integrate_finite(lambda x: np.cos(40.0 * x * x), 0.0, 3.0, spec)
         assert math.isfinite(info.value.err_est)
         assert abs(info.value.value) < 10.0  # the estimate itself stays sane
+        assert isinstance(info.value.value, complex)
+        assert isinstance(info.value.err_est, float)
+
+    def test_miss_inside_the_integrand_passes_through(self):
+        # an inner batch that misses inside the integrand reaches the caller
+        # as the inner integral's own ToleranceNotMet, arrays and all
+        tight = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-17, max_subdivisions=8)
+        raised = []
+
+        def f(x):
+            try:
+                return integrate_batch(lambda s, k: np.cos(40.0 * s * s), 0.0, x, tight).value
+            except ToleranceNotMet as exc:
+                raised.append(exc)
+                raise
+
+        with pytest.raises(ToleranceNotMet) as info:
+            integrate_finite(f, 0.0, 1.0)
+        assert info.value is raised[0]
+        assert info.value.value.shape == (1, 21)
 
     def test_nan_integrand_detected(self):
         with pytest.raises(NonFiniteIntegrand):
@@ -82,6 +102,11 @@ class TestIntegrateBatch:
             one = integrate_finite(lambda x: np.exp(1j * freq[i] * x * x), 0.0, hi[i])
             assert batch.value[i] == one.value
             assert batch.err_est[i] == one.err_est
+
+    def test_scalar_limits_give_scalars(self):
+        res = integrate_batch(lambda x, k: x * x, 0.0, 3.0)
+        assert isinstance(res.value, complex) and isinstance(res.err_est, float)
+        assert res.value == pytest.approx(9.0, rel=1e-14)
 
     def test_shapes_and_empty_intervals(self):
         a = np.array([[0.0, 1.0], [2.0, 3.0]])
