@@ -92,7 +92,8 @@ class FieldGrid:
 
     values has shape (len(r_values), len(t_values)); err_flags mirrors it
     with "ok" or the exception class name of a tolerated failure.  Entries
-    flagged "ok" must be finite.
+    flagged "ok" must be finite; the evaluators store nan at every flagged
+    entry.
     """
 
     r_values: tuple[float, ...]
@@ -425,46 +426,18 @@ def field_hankel(
     phi: float = 0.0,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
-    """Field value with spectral wave blocks under the assembly formula.
-
-    The kernel convolutions are rescaled to the unit interval so the
-    quadrature grid is independent of t."""
+    """Field value with spectral wave blocks under the assembly formula:
+    ita_assemble, as in field_riemann, with each quadrature pass of the
+    convolutions handing all its nodes to one batch of spectral blocks."""
     _check_point(mode, params, r, t)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
-
-    def blocks(hat, s):
-        # one spectral block per convolution node
-        return np.array(
-            [_hankel_block(hat, mode.ell, r, float(si), "cos", spec) for si in np.ravel(s)]
-        ).reshape(np.shape(s))
-
     hat0 = _profile_transform(mode.f0, mode.ell, spec)
-    h = params.H
-    n = params.n
-    pt = phi_of_t(t, h)
-    lead = _hankel_block(hat0, mode.ell, r, pt, "cos", spec)
-    val = math.exp(-0.5 * (n - 1) * h * t) * lead
-    if pt > 0.0:
-        damp = math.exp(-0.5 * n * h * t) * pt
-        inner = spec
-        if r < pt:
-            inner = replace(spec, singularity_split_points=(r / pt,))
-        val += damp * integrate_finite(
-            lambda u: _weights(kernel_combination, pt * u, t, params)
-            * blocks(hat0, pt * u),
-            0.0,
-            1.0,
-            inner,
-        ).value
-        if mode.f1 is not None:
-            hat1 = _profile_transform(mode.f1, mode.ell, spec)
-            val += 2.0 * damp * integrate_finite(
-                lambda u: _weights(kernel_k1, pt * u, t, params) * blocks(hat1, pt * u),
-                0.0,
-                1.0,
-                inner,
-            ).value
-    return y * val
+    w0 = lambda rr, s: _hankel_block(hat0, mode.ell, rr, s, "cos", spec)
+    w1 = None
+    if mode.f1 is not None:
+        hat1 = _profile_transform(mode.f1, mode.ell, spec)
+        w1 = lambda rr, s: _hankel_block(hat1, mode.ell, rr, s, "cos", spec)
+    return y * ita_assemble(w0, params, r, t, w1, spec=spec)
 
 
 def field_hankel_huygens(
@@ -515,14 +488,11 @@ def _evaluate_point(
     spec: QuadratureSpec,
 ) -> tuple[complex, str]:
     """One point of a grid and its err_flag.  A tolerated quadrature
-    failure is flagged with its class name; one that carries a best
-    estimate of its own integral keeps that value, others (an inner batch
-    of integrals, or no estimate) give nan."""
+    failure is flagged with its class name and gives nan: the estimate an
+    exception carries belongs to the integral that missed, not to the
+    field."""
     try:
         return complex(fn(mode, params, r, t, theta, phi, spec)), "ok"
-    except ToleranceNotMet as exc:
-        value = exc.value if exc.value is not None and np.ndim(exc.value) == 0 else math.nan
-        return complex(value), type(exc).__name__
     except QuadratureFailure as exc:
         return complex(math.nan), type(exc).__name__
 
@@ -540,10 +510,10 @@ def evaluate_grid(
 ) -> DeSitterField:
     """Evaluate the field over a tensor grid, one method, sequentially.
 
-    Tolerated quadrature failures are recorded per point in err_flags; a
-    failure that carries its best estimate keeps that value, others get
-    nan.  method "fd" runs the finite-difference evolution (one call for
-    the whole grid) and applies the angular factor afterwards.
+    Tolerated quadrature failures are recorded per point in err_flags,
+    and the value of every flagged point is nan.  method "fd" runs the
+    finite-difference evolution (one call for the whole grid) and applies
+    the angular factor afterwards.
     """
     rs = tuple(float(r) for r in r_values)
     ts = tuple(float(t) for t in t_values)

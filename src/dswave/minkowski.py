@@ -13,8 +13,9 @@ wave with data F(r, 0) = f0(r), F_t(r, 0) = f1(r):
 
 ``minkowski_kg`` adds the mass term through a Bessel-kernel time
 convolution applied to the wave blocks.  All evaluators accept radii below
-the light cone through the parity extension r^ell * F even.  Profiles and
-wave blocks take arrays, so the quadratures hand them whole node sets.
+the light cone through the parity extension r^ell * F even.  Profiles, wave
+blocks and spectral blocks take arrays, so the quadratures hand them whole
+node sets.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from scipy.special import j1 as _bessel_j1
 from .errors import DomainError, InvalidParam, ToleranceNotMet, UnsupportedEll
 from .quadrature import (
     DEFAULT_SPEC,
-    IntegralResult,
     QuadratureSpec,
     integrate_batch,
     integrate_finite,
+    integrate_oscillatory_batch,
     integrate_semi_infinite_oscillatory,
 )
 from .specfun import bessel_j_half, bessel_trig_split, polyval_ascending
@@ -418,7 +419,68 @@ def _profile_transform(
 
 
 def _component_tail(
-    gfun: Callable[[float], complex],
+    gfun: Callable[[np.ndarray], np.ndarray],
+    comps: list[tuple[float, float, str, tuple[float, ...]]],
+    r: float,
+    lam0: float,
+    spec: QuadratureSpec,
+) -> np.ndarray:
+    """The trig components of the spectral tail, one value per
+    (coef, freq, kind, poly) in comps:
+
+        coef * int_{lam0}^inf g(lam) P(1/(r lam)) trig(freq lam) dlam.
+
+    Every component whose oscillation starts within reach of lam0 runs on
+    one oscillatory ladder, in phase-aligned half-period cells; the rare
+    near-DC ones each take the path of _near_dc_tail."""
+    out = np.zeros(len(comps), dtype=complex)
+    quarter = math.pi / (4.0 * lam0)
+    fast = []
+    for i, (coef, freq, kind, poly) in enumerate(comps):
+        if kind == "sin":
+            if freq < 0.0:
+                coef, freq = -coef, -freq
+            if freq == 0.0:
+                continue
+        else:
+            freq = abs(freq)
+        if freq >= quarter:
+            fast.append((i, coef, freq, kind == "sin", poly))
+        else:
+            out[i] = _near_dc_tail(gfun, coef, freq, kind, poly, r, lam0, spec)
+    if not fast:
+        return out
+    idx, coef, freq, is_sin, polys = zip(*fast)
+    idx, coef, freq, is_sin = np.array(idx), np.array(coef), np.array(freq), np.array(is_sin)
+    # ascending coefficients, zero-padded to one degree (Horner sees the
+    # padding as leading zeros)
+    deg = max(len(p) for p in polys)
+    cmat = np.array([list(p) + [0.0] * (deg - len(p)) for p in polys])
+
+    def integrand(lam: np.ndarray, k: np.ndarray) -> np.ndarray:
+        u = 1.0 / (r * lam)
+        p = 0.0
+        for j in range(deg - 1, -1, -1):
+            p = p * u + cmat[k, j]
+        w = freq[k] * lam
+        return gfun(lam) * p * np.where(is_sin[k], np.sin(w), np.cos(w))
+
+    # first cell edge at the first zero of the trig factor beyond lam0
+    off = np.where(is_sin, 0.0, 0.5)
+    z1 = (np.ceil(lam0 * freq / math.pi - off) + off) * math.pi / freq
+    low = z1 <= lam0
+    while low.any():
+        z1 = np.where(low, z1 + math.pi / freq, z1)
+        low = z1 <= lam0
+    res = integrate_oscillatory_batch(
+        integrand, 2.0 * math.pi / freq, spec, start=lam0, first_boundary=z1
+    )
+    out[idx] = coef * res.value
+    return out
+
+
+def _near_dc_tail(
+    gfun: Callable[[np.ndarray], np.ndarray],
     coef: float,
     freq: float,
     kind: str,
@@ -426,39 +488,17 @@ def _component_tail(
     r: float,
     lam0: float,
     spec: QuadratureSpec,
-) -> IntegralResult:
-    """One trig component of the spectral tail: coef * int_{lam0}^inf
-    g(lam) P(1/(r lam)) trig(freq lam) dlam."""
-    if kind == "sin":
-        if freq < 0.0:
-            coef, freq = -coef, -freq
-        if freq == 0.0:
-            return IntegralResult(0j, 0.0)
-    else:
-        freq = abs(freq)
-
+) -> complex:
+    """One trig component of _component_tail whose trig factor is flat out
+    to the quarter-period point: geometric panels to there (or to the
+    resource cap), then either resume oscillatory cells or close with an
+    algebraic tail correction."""
     trig = np.sin if kind == "sin" else np.cos
 
     def integrand(lam: np.ndarray) -> np.ndarray:
         u = 1.0 / (r * lam)
         return gfun(lam) * polyval_ascending(poly, u) * trig(freq * lam)
 
-    quarter = math.pi / (4.0 * lam0)
-    if freq >= quarter:
-        # full oscillation structure starts within reach of lam0: phase-
-        # aligned half-period cells with acceleration
-        k = math.ceil(lam0 * freq / math.pi - (0.0 if kind == "sin" else 0.5))
-        z1 = (k + (0.0 if kind == "sin" else 0.5)) * math.pi / freq
-        while z1 <= lam0:
-            z1 += math.pi / freq
-        res = integrate_semi_infinite_oscillatory(
-            integrand, 2.0 * math.pi / freq, spec, start=lam0, first_boundary=z1
-        )
-        return IntegralResult(coef * res.value, abs(coef) * res.err_est)
-
-    # near-DC component: the trig factor is flat out to the quarter-period
-    # point; geometric panels to there (or to the resource cap), then either
-    # resume oscillatory cells or close with an algebraic tail correction
     trunc = spec.oscillatory_truncation
     lam_slow = max(trunc.lambda_max, 16.0 * lam0)
     lam1 = math.pi / (4.0 * freq) if freq > 0.0 else math.inf
@@ -481,11 +521,9 @@ def _component_tail(
         z1 = (k + (0.0 if kind == "sin" else 0.5)) * math.pi / freq
         while z1 <= edge_hi:
             z1 += math.pi / freq
-        res = integrate_semi_infinite_oscillatory(
+        val += integrate_semi_infinite_oscillatory(
             integrand, 2.0 * math.pi / freq, wide, start=edge_hi, first_boundary=z1
-        )
-        val += res.value
-        err += res.err_est
+        ).value
     else:
         # freq == 0 (or indistinguishable): close with the power-law tail
         # int_L^inf c lam^-p = env(L) L / (p-1), p measured from the envelope
@@ -504,20 +542,18 @@ def _component_tail(
                     err_est=err + abs(e0) * edge_hi,
                 )
             if math.isfinite(p):
-                corr = e0 * edge_hi / (p - 1.0)
-                val += corr
-                err += 0.1 * abs(corr) + trunc.tail_tol
-    return IntegralResult(coef * val, abs(coef) * err)
+                val += e0 * edge_hi / (p - 1.0)
+    return coef * val
 
 
 def _hankel_block(
-    fhat: Callable[[float], complex],
+    fhat: Callable[[np.ndarray], np.ndarray],
     ell: int,
     r: float,
-    omega: float,
+    omega,
     weight: str,
     spec: QuadratureSpec,
-) -> complex:
+):
     """(1/sqrt r) int_0^inf fhat(lam) w(omega lam) J_{ell+1/2}(r lam) dlam,
     with weight "cos" carrying an extra lam factor (the data-type block) and
     "sin" none (the velocity-type block).
@@ -526,26 +562,52 @@ def _hankel_block(
     factor splits exactly into sin/cos components with polynomial envelopes
     in 1/(r lam), the time weight is product-to-sum combined to frequencies
     r +- omega, and each component runs through the oscillatory ladder.
+
+    omega may be an array of times: the direct panels of all of them are
+    then one batch of integrals, each block keeping its own panels and
+    tolerances, their tail components share one ladder, and the result is
+    an array of omega's shape.
     """
+    om = np.asarray(omega, dtype=float)
+    flat = om.ravel()
+    out = np.zeros(flat.size, dtype=complex)
     cos_w = weight == "cos"
-    if not cos_w and omega == 0.0:
-        return 0j
+    # the sin-weighted block vanishes at omega = 0
+    run = np.arange(flat.size) if cos_w else np.flatnonzero(flat != 0.0)
+    if not run.size:
+        return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
+    w = flat[run]
     lam0 = max(40.0, 3.0 * (ell + 2) / r)
+    fmax = r + np.abs(w)
+    n_pan = np.minimum(np.maximum(1, (lam0 * fmax / (4.0 * math.pi)).astype(int) + 1), 600)
+    lo, hi, owner = [], [], []
+    for p in np.unique(n_pan):
+        blocks = np.flatnonzero(n_pan == p)
+        edges = lam0 * np.arange(p + 1) / p
+        lo.append(np.tile(edges[:-1], blocks.size))
+        hi.append(np.tile(edges[1:], blocks.size))
+        owner.append(np.repeat(blocks, p))
+    lo, hi, owner = np.concatenate(lo), np.concatenate(hi), np.concatenate(owner)
 
     def direct(lam: np.ndarray, k: np.ndarray) -> np.ndarray:
-        wv = np.cos(omega * lam) if cos_w else np.sin(omega * lam)
-        v = fhat(lam) * wv * bessel_j_half(ell, r * lam)
+        # fhat and the Bessel factor depend on lam alone, and the first
+        # pass of blocks with one panel count shares its abscissae:
+        # evaluate them once per distinct abscissa
+        u, inv = np.unique(lam, return_inverse=True)
+        inv = inv.reshape(lam.shape)
+        wl = w[owner[k]] * lam
+        wv = np.cos(wl) if cos_w else np.sin(wl)
+        v = fhat(u)[inv] * wv * bessel_j_half(ell, r * u)[inv]
         return v * lam if cos_w else v
 
-    fmax = r + abs(omega)
-    n_pan = min(max(1, int(lam0 * fmax / (4.0 * math.pi)) + 1), 600)
-    pan_spec = replace(
-        spec,
-        abs_tol=spec.abs_tol / (2.0 * n_pan),
-        singularity_split_points=(),
-    )
-    edges = lam0 * np.arange(n_pan + 1) / n_pan
-    total = complex(integrate_batch(direct, edges[:-1], edges[1:], pan_spec).value.sum())
+    pan = integrate_batch(
+        direct,
+        lo,
+        hi,
+        replace(spec, singularity_split_points=()),
+        abs_tol=spec.abs_tol / (2.0 * n_pan[owner]),
+    ).value
+    total = np.bincount(owner, pan.real, w.size) + 1j * np.bincount(owner, pan.imag, w.size)
 
     # tail components: J_{ell+1/2}(x) = sqrt(2/(pi x)) (A(1/x) sin x + B(1/x) cos x)
     acoef, bcoef = bessel_trig_split(ell)
@@ -554,27 +616,30 @@ def _hankel_block(
         def g(lam):
             return fhat(lam) * pref * np.sqrt(lam)
 
-        comps = [
-            (0.5, r + omega, "sin", acoef),
-            (0.5, r - omega, "sin", acoef),
-            (0.5, r + omega, "cos", bcoef),
-            (0.5, r - omega, "cos", bcoef),
-        ]
+        def comps(wj):
+            return [
+                (0.5, r + wj, "sin", acoef),
+                (0.5, r - wj, "sin", acoef),
+                (0.5, r + wj, "cos", bcoef),
+                (0.5, r - wj, "cos", bcoef),
+            ]
     else:
         def g(lam):
             return fhat(lam) * pref / np.sqrt(lam)
 
-        comps = [
-            (0.5, r - omega, "cos", acoef),
-            (-0.5, r + omega, "cos", acoef),
-            (0.5, r + omega, "sin", bcoef),
-            (-0.5, r - omega, "sin", bcoef),
-        ]
-    for coef, freq, kind, poly in comps:
-        if all(c == 0.0 for c in poly):
-            continue
-        total += _component_tail(g, coef, freq, kind, poly, r, lam0, spec).value
-    return total / math.sqrt(r)
+        def comps(wj):
+            return [
+                (0.5, r - wj, "cos", acoef),
+                (-0.5, r + wj, "cos", acoef),
+                (0.5, r + wj, "sin", bcoef),
+                (-0.5, r - wj, "sin", bcoef),
+            ]
+    every = [c for wj in w.tolist() for c in comps(wj) if any(x != 0.0 for x in c[3])]
+    tails = _component_tail(g, every, r, lam0, spec).reshape(w.size, -1)
+    for j in range(tails.shape[1]):
+        total += tails[:, j]
+    out[run] = total / math.sqrt(r)
+    return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
 
 
 def solve_hankel(

@@ -32,24 +32,18 @@ __all__ = ["FDConfig", "solve_fd"]
 # light-cone slack added beyond max(r) + t_end when validating r_max
 _CAUSAL_MARGIN = 0.05
 
-_BOUNDARIES = ("dirichlet_origin_R", "outflow_at_rmax")
-
 
 @dataclass(frozen=True)
 class FDConfig:
     """Grid and stepping controls for the finite-difference run.
 
-    cfl_safety scales the time step: dt = cfl_safety * dr.  Both boundary
-    labels resolve to the same realization (zero R at the outer edge inside
-    the untouched causal region).
+    cfl_safety scales the time step: dt = cfl_safety * dr.
     """
 
     r_max: float
     n_r: int
     t_end: float
     cfl_safety: float = 0.2
-    boundary: str = "dirichlet_origin_R"
-    time_integrator: str = "rk4"
 
     def __post_init__(self) -> None:
         if self.r_max <= 0.0:
@@ -60,10 +54,6 @@ class FDConfig:
             raise ConfigError(f"t_end must be >= 0, got {self.t_end}")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ConfigError(f"cfl_safety must lie in (0, 1), got {self.cfl_safety}")
-        if self.boundary not in _BOUNDARIES:
-            raise ConfigError(f"unknown boundary {self.boundary!r}")
-        if self.time_integrator != "rk4":
-            raise ConfigError(f"unknown time integrator {self.time_integrator!r}")
 
 
 def solve_fd(

@@ -1,6 +1,7 @@
 """Adaptive quadrature on numpy arrays: finite intervals with declared
 break points, and semi-infinite oscillatory integrals via half-period cells
-with Euler-style acceleration of the alternating cell sums.
+with Euler-style acceleration of the alternating cell sums (Longman 1956),
+a whole batch of them on one ladder of cells.
 
 Every finite integral runs through one engine, ``quad``: QUADPACK's
 21-point Kronrod rule with its embedded 10-point Gauss rule and error
@@ -41,6 +42,7 @@ __all__ = [
     "integrate_finite",
     "integrate_batch",
     "integrate_semi_infinite_oscillatory",
+    "integrate_oscillatory_batch",
 ]
 
 
@@ -176,13 +178,13 @@ def quad(
     f: Callable[[np.ndarray, np.ndarray], Any],
     a: np.ndarray,
     b: np.ndarray,
-    abs_tol: float,
+    abs_tol,
     rel_tol: float,
     limit: int,
     points: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive G10K21 over the batch int_{a_i}^{b_i} f(x, i) dx, a_i < b_i,
-    on 1-d arrays of limits.
+    on 1-d arrays of limits (abs_tol a scalar or one per integral).
 
     Each integral starts from [a_i, b_i] cut at the points inside it, and
     its intervals with the largest errors are bisected until its summed
@@ -252,18 +254,26 @@ def integrate_batch(
     a,
     b,
     spec: QuadratureSpec = DEFAULT_SPEC,
+    *,
+    abs_tol=None,
 ) -> IntegralResult:
     """The independent integrals int_{a_i}^{b_i} f(x, i) dx in one pass.
 
     a and b are broadcast to one shape; value and err_est come back as
     arrays of it, or as a complex and a float when both limits are scalars.
     Each integral is held to the tolerance integrate_finite would hold it
-    to.  A miss on any of them raises ToleranceNotMet carrying the values
-    and error estimates in the same form.
+    to, with abs_tol, when given, in place of spec.abs_tol (one per
+    integral, broadcast against the limits).  A miss on any of them raises
+    ToleranceNotMet carrying the values and error estimates in the same
+    form.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b, atol = np.broadcast_arrays(
+        np.asarray(a, dtype=float),
+        np.asarray(b, dtype=float),
+        np.asarray(spec.abs_tol if abs_tol is None else abs_tol, dtype=float),
+    )
     shape = a.shape
-    a, b = a.ravel(), b.ravel()
+    a, b, atol = a.ravel(), b.ravel(), atol.ravel()
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidParam("integration limits must be finite")
     if (a > b).any():
@@ -278,7 +288,7 @@ def integrate_batch(
             lambda x, k: f(x, idx[k]),
             a[idx],
             b[idx],
-            spec.abs_tol,
+            atol[idx],
             spec.rel_tol,
             spec.max_subdivisions,
             spec.singularity_split_points,
@@ -301,24 +311,13 @@ def integrate_batch(
     return out
 
 
-def _euler_limit(cells: list[complex]) -> complex:
-    # repeated pairwise averaging of the partial sums; binomial weights kill
-    # the alternating transient geometrically
-    row: list[complex] = []
-    acc = 0j
-    for c in cells:
-        acc += c
-        row.append(acc)
-    while len(row) > 1:
-        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-    return row[0]
-
-
-def _alternating(cells: list[complex]) -> bool:
-    for u, v in zip(cells, cells[1:]):
-        if (u.conjugate() * v).real >= 0.0:
-            return False
-    return True
+def _euler_limit(cells: np.ndarray) -> np.ndarray:
+    # repeated pairwise averaging of the partial sums along the last axis;
+    # binomial weights kill the alternating transient geometrically
+    row = np.cumsum(cells, axis=-1)
+    while row.shape[-1] > 1:
+        row = 0.5 * (row[..., :-1] + row[..., 1:])
+    return row[..., 0]
 
 
 def integrate_semi_infinite_oscillatory(
@@ -330,81 +329,139 @@ def integrate_semi_infinite_oscillatory(
     first_boundary: float | None = None,
 ) -> IntegralResult:
     """Integral of the array integrand f over [start, infinity) for
-    oscillatory-decaying f.
+    oscillatory-decaying f: integrate_oscillatory_batch with one member."""
+    return integrate_oscillatory_batch(
+        lambda x, k: f(x), period_hint, spec, start=start, first_boundary=first_boundary
+    )
 
-    The axis is cut into half-period cells (first cell edge overridable via
-    first_boundary so callers can align cells with the zeros of their trig
-    factor); each cell integrates adaptively; alternating runs of cell sums
-    are accelerated by repeated averaging.  Convergence is declared either
-    when two consecutive cells are negligible (decay-dominated case, with a
-    geometric tail bound folded into err_est) or when the accelerated
-    estimate stabilizes.  On reaching lambda_max the discarded tail must be
-    below tail_tol, else TailNotNegligible.
+
+def integrate_oscillatory_batch(
+    f: Callable[[np.ndarray, np.ndarray], Any],
+    period_hint,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    *,
+    start=0.0,
+    first_boundary=None,
+) -> IntegralResult:
+    """The independent integrals int_{start_i}^inf f(x, i) dx of
+    oscillatory-decaying integrands, all on one ladder.
+
+    Each member's axis is cut into half-period cells (its first cell edge
+    overridable via first_boundary so callers can align cells with the
+    zeros of their trig factor); each cell integrates adaptively;
+    alternating runs of cell sums are accelerated by repeated averaging.
+    A member converges either when two consecutive cells are negligible
+    (decay-dominated case, with a geometric tail bound folded into err_est)
+    or when the accelerated estimate stabilizes.  On reaching lambda_max
+    the discarded tail must be below tail_tol, else TailNotNegligible.
+    Every round, the next cells of all members still running are one
+    engine pass, and each member comes out as it would alone.
+
+    period_hint, start and first_boundary are broadcast to one shape;
+    value and err_est come back as arrays of it, or as a complex and a
+    float when all three are scalars.  A member that misses raises
+    TailNotNegligible carrying the values and error estimates in the same
+    form.
     """
-    if period_hint <= 0:
+    period, lo, first = np.broadcast_arrays(
+        np.asarray(period_hint, dtype=float),
+        np.asarray(start, dtype=float),
+        np.asarray(start if first_boundary is None else first_boundary, dtype=float),
+    )
+    shape = period.shape
+    if not (period > 0.0).all():
         raise InvalidParam(f"period_hint must be positive, got {period_hint}")
     trunc = spec.oscillatory_truncation
     lam_max = trunc.lambda_max
     tail_tol = trunc.tail_tol
-    h = 0.5 * period_hint
+    h = 0.5 * period.ravel()
+    b_prev = lo.ravel().copy()
+    first = first.ravel()
+    b_next = np.where(first > b_prev, first, b_prev + h)
     cell_abs_tol = max(spec.abs_tol / 16.0, 1e-15)
-
-    def cell(a: float, b: float) -> tuple[complex, float]:
-        # the engine's best estimate of the cell, whether or not it met its
-        # tolerance: the convergence tests below judge the cell sums
-        value, err, _ = quad(
-            lambda x, k: f(x),
-            np.array([a]),
-            np.array([b]),
+    n = h.size
+    total = np.zeros(n, dtype=complex)
+    errs = np.zeros(n)
+    accel = np.zeros(n, dtype=complex)
+    has_accel = np.zeros(n, dtype=bool)
+    stable = np.zeros(n, dtype=int)
+    last = np.zeros(n)
+    value = np.zeros(n, dtype=complex)
+    err_out = np.zeros(n)
+    # the cell sums, one column per round: a member still running has an
+    # entry in every column
+    cols: list[np.ndarray] = []
+    run = np.flatnonzero(b_prev < lam_max)
+    while run.size:
+        b_next[run] = np.minimum(b_next[run], lam_max)
+        # the engine's best estimate of each cell, whether or not it met
+        # its tolerance: the convergence tests below judge the cell sums
+        cell, cell_err, _ = quad(
+            lambda x, k, idx=run: f(x, idx[k]),
+            b_prev[run],
+            b_next[run],
             cell_abs_tol,
             spec.rel_tol,
             spec.max_subdivisions,
         )
-        return complex(value[0]), float(err[0])
-
-    b_prev = start
-    b_next = first_boundary if (first_boundary or 0.0) > start else start + h
-    sums: list[complex] = []
-    errs = 0.0
-    total = 0j
-    accel: complex | None = None
-    stable = 0
-    while b_prev < lam_max:
-        b_next = min(b_next, lam_max)
-        value, err = cell(b_prev, b_next)
-        sums.append(value)
-        errs += err
-        total += value
-        scale = max(abs(total), abs(accel) if accel is not None else 0.0)
-        tol = max(spec.abs_tol, spec.rel_tol * scale)
-        if len(sums) >= 2:
-            s1, s0 = abs(sums[-1]), abs(sums[-2])
-            if s1 <= 0.25 * tol and s0 <= 0.25 * tol:
-                ratio = min(s1 / s0, 0.9) if s0 > 0.0 else 0.0
-                tail = s1 * ratio / (1.0 - ratio)
-                if tail <= max(tail_tol, tol):
-                    return IntegralResult(total, errs + s1 + tail)
-        if len(sums) >= 6 and _alternating(sums[-6:]):
-            est = _euler_limit(sums)
-            if accel is not None:
-                delta = abs(est - accel)
-                if delta <= 0.5 * tol:
-                    stable += 1
-                    if stable >= 2:
-                        return IntegralResult(est, errs + 2.0 * delta)
-                else:
-                    stable = 0
-            accel = est
-        b_prev, b_next = b_next, b_next + h
-
-    last = abs(sums[-1]) if sums else 0.0
-    value = accel if accel is not None else total
-    if last > tail_tol:
+        col = np.zeros(n, dtype=complex)
+        col[run] = cell
+        cols.append(col)
+        errs[run] += cell_err
+        total[run] += cell
+        last[run] = np.abs(cell)
+        scale = np.maximum(np.abs(total[run]), np.where(has_accel[run], np.abs(accel[run]), 0.0))
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * scale)
+        done = np.zeros(run.size, dtype=bool)
+        if len(cols) >= 2:
+            s1 = last[run]
+            s0 = np.abs(cols[-2][run])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(s0 > 0.0, np.minimum(s1 / s0, 0.9), 0.0)
+            tail = s1 * ratio / (1.0 - ratio)
+            done = (s1 <= 0.25 * tol) & (s0 <= 0.25 * tol) & (tail <= np.maximum(tail_tol, tol))
+            fin = run[done]
+            value[fin] = total[fin]
+            err_out[fin] = errs[fin] + s1[done] + tail[done]
+        if len(cols) >= 6:
+            recent = np.array([c[run] for c in cols[-6:]])
+            alt = ~done & ((recent[:-1].conj() * recent[1:]).real < 0.0).all(axis=0)
+            ia = np.flatnonzero(alt)
+            if ia.size:
+                mem = run[ia]
+                est = _euler_limit(np.array([c[mem] for c in cols]).T)
+                delta = np.abs(est - accel[mem])
+                close = delta <= 0.5 * tol[ia]
+                prev = has_accel[mem]
+                stable[mem] = np.where(prev, np.where(close, stable[mem] + 1, 0), stable[mem])
+                conv = prev & close & (stable[mem] >= 2)
+                value[mem[conv]] = est[conv]
+                err_out[mem[conv]] = errs[mem[conv]] + 2.0 * delta[conv]
+                done[ia[conv]] = True
+                accel[mem] = est
+                has_accel[mem] = True
+        run = run[~done]
+        b_prev[run] = b_next[run]
+        b_next[run] += h[run]
+        run = run[b_prev[run] < lam_max]
+    # lambda_max reached: the accelerated estimate if there is one; a tail
+    # verified small is charged to the error estimate
+    cut = b_prev >= lam_max
+    missed = cut & (last > tail_tol)
+    value[cut] = np.where(has_accel, accel, total)[cut]
+    err_out[cut] = (errs + last + np.where(missed, 0.0, tail_tol))[cut]
+    if shape:
+        res = IntegralResult(value.reshape(shape), err_out.reshape(shape))
+    else:
+        res = IntegralResult(complex(value[0]), float(err_out[0]))
+    if missed.any():
+        i = int(np.argmax(missed))
+        more = int(missed.sum()) - 1
         raise TailNotNegligible(
-            f"cell sums still {last:.3e} > tail_tol {tail_tol:.3e} "
-            f"at lambda_max={lam_max}",
-            value=value,
-            err_est=errs + last,
+            f"cell sums still {last[i]:.3e} > tail_tol {tail_tol:.3e} "
+            f"at lambda_max={lam_max}"
+            + (f", and {more} more of {n}" if more else ""),
+            value=res.value,
+            err_est=res.err_est,
         )
-    # tail verified small; truncation charged to the error estimate
-    return IntegralResult(value, errs + last + tail_tol)
+    return res

@@ -216,6 +216,19 @@ class TestFieldMethods:
             b = field_hankel(mode, params, r, t)
             assert abs(a - b) <= 1e-7 * (1.0 + abs(a))
 
+    def test_hankel_converges_where_riemann_does(self):
+        # late times, where the convolution needs the endpoint layer
+        cases = [
+            (ModeState(ell=1, m=0, f0=gaussian_profile(1)), 40.0),
+            (pionic_mode(2, 1, energy=2.0), 10.0),
+            (pionic_mode(2, 1, energy=2.0), 20.0),
+        ]
+        params = PhysicalParams(H=1.0, m=2.0)
+        for mode, t in cases:
+            a = field_riemann(mode, params, 0.7, t)
+            b = field_hankel(mode, params, 0.7, t)
+            assert abs(a - b) <= 1e-5 * (1.0 + abs(a))
+
     def test_huygens_methods_agree_with_general_ones(self):
         mode = pionic_mode(2, 1, energy=SQRT2)
         params = PhysicalParams(H=1.0, m=SQRT2)
@@ -264,6 +277,20 @@ class TestEvaluateGrid:
         assert ok == "ok"
         assert issubclass(getattr(errors, late), errors.QuadratureFailure)
         assert math.isnan(field.grid.values[0, 1].real)
+
+    def test_outer_scalar_miss_is_stored_as_nan(self):
+        # the monopole block has no inner integral, so the convolution's own
+        # (scalar) integral is the one that misses; its estimate is not the
+        # field and must not be stored as the point's value
+        mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))
+        params = PhysicalParams(H=1.0, m=1.0)
+        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-16)
+        with pytest.raises(ToleranceNotMet) as miss:
+            ita_remainder(mode, params, 0.7, 2.0, spec)
+        assert np.ndim(miss.value.value) == 0
+        field = evaluate_grid(mode, params, "riemann", [0.7], [2.0], spec=spec)
+        assert field.grid.err_flags == [["ToleranceNotMet"]]
+        assert math.isnan(field.grid.values[0, 0].real)
 
     def test_unknown_method_rejected(self):
         mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))

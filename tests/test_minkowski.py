@@ -25,7 +25,9 @@ from dswave import (
     traveling_average,
     wave_block,
 )
+from dswave import DEFAULT_SPEC
 from dswave.desitter import pionic_profile
+from dswave.minkowski import _hankel_block
 
 GAUSS_BLOCK_L1 = {
     (0.7, 0.3): 0.286036796954091783,
@@ -105,6 +107,22 @@ class TestWaveBlock:
             assert got.shape == ts.shape
             for t, g in zip(ts.ravel(), got.ravel()):
                 assert g == pytest.approx(wave_block(prof, ell, 0.9, float(t)), rel=1e-15)
+
+    def test_spectral_block_array_of_times_equals_scalar_calls(self):
+        # one batch of direct panels and one ladder for every time, each
+        # block as it would be alone; omega = r + 1e-4 puts the r - omega
+        # components on the near-DC path, and the sin block vanishes at 0
+        r = 0.7
+        ws = np.array([[0.0, 0.3, r + 1e-4], [1.3, 2.9, 0.05]])
+        for prof in (gaussian_profile(1), pionic_profile(2, 1, 1)):
+            for weight in ("cos", "sin"):
+                got = _hankel_block(prof.hankel, 1, r, ws, weight, DEFAULT_SPEC)
+                assert got.shape == ws.shape
+                for w, g in zip(ws.ravel(), got.ravel()):
+                    one = _hankel_block(prof.hankel, 1, r, float(w), weight, DEFAULT_SPEC)
+                    assert g == pytest.approx(one, rel=1e-14, abs=1e-300)
+                if weight == "sin":
+                    assert got[0, 0] == 0.0
 
     def test_profiles_take_arrays(self):
         xs = np.array([-0.4, 0.0, 0.7, 2.0])

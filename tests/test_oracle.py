@@ -30,10 +30,6 @@ class TestFDConfig:
             FDConfig(r_max=3.0, n_r=100, t_end=1.0)
         with pytest.raises(ConfigError):
             FDConfig(r_max=3.0, n_r=400, t_end=1.0, cfl_safety=1.5)
-        with pytest.raises(ConfigError):
-            FDConfig(r_max=3.0, n_r=400, t_end=1.0, boundary="reflecting")
-        with pytest.raises(ConfigError):
-            FDConfig(r_max=3.0, n_r=400, t_end=1.0, time_integrator="euler")
 
 
 class TestSolveFD:

@@ -16,7 +16,7 @@ from dswave import (
     integrate_finite,
     integrate_semi_infinite_oscillatory,
 )
-from dswave.quadrature import integrate_batch
+from dswave.quadrature import integrate_batch, integrate_oscillatory_batch
 from dswave.specfun import bessel_j_half
 
 
@@ -194,3 +194,43 @@ class TestSemiInfiniteOscillatory:
     def test_rejects_bad_period(self):
         with pytest.raises(InvalidParam):
             integrate_semi_infinite_oscillatory(lambda x: np.exp(-x), 0.0)
+
+    def test_batch_equals_one_member_ladders(self):
+        # decay-dominated, accelerated, offset-start and truncated members on
+        # one ladder; the truncated one makes the batch raise, carrying every
+        # member's value as its own ladder gives it
+        spec = QuadratureSpec(
+            oscillatory_truncation=OscillatoryTruncation(lambda_max=200.0, tail_tol=1e-12)
+        )
+        fns = [
+            lambda x: np.exp(-2.0 * x),
+            lambda x: np.cos(x) / (1.0 + x * x),
+            lambda x: np.cos(x) / (x * x),
+            lambda x: (1.0 + np.cos(x)) / (1.0 + x) ** 1.2,
+            lambda x: np.sin(3.0 * x) * np.exp(-0.1 * x),
+        ]
+        periods = [1.0, 2.0 * math.pi, 2.0 * math.pi, 2.0 * math.pi, 2.0 * math.pi / 3.0]
+        starts = [0.0, 0.0, math.pi, 0.0, 0.0]
+        firsts = [0.0, 0.0, 1.5 * math.pi, 0.0, math.pi / 3.0]
+
+        def f(x, k):
+            k = np.broadcast_to(k, x.shape)
+            out = np.zeros(x.shape)
+            for i, fn in enumerate(fns):
+                out[k == i] = fn(x[k == i])
+            return out
+
+        with pytest.raises(TailNotNegligible) as batch:
+            integrate_oscillatory_batch(f, periods, spec, start=starts, first_boundary=firsts)
+        raised = []
+        for i, fn in enumerate(fns):
+            try:
+                one = integrate_semi_infinite_oscillatory(
+                    fn, periods[i], spec, start=starts[i], first_boundary=firsts[i]
+                )
+            except TailNotNegligible as exc:
+                one = exc
+                raised.append(i)
+            assert batch.value.value[i] == pytest.approx(one.value, rel=1e-15)
+            assert batch.value.err_est[i] == pytest.approx(one.err_est, rel=1e-12)
+        assert raised == [3]
