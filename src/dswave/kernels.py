@@ -34,9 +34,7 @@ __all__ = [
     "kernel_eval_endpoint",
     "kernel_k0",
     "kernel_k1",
-    "kernel_k1_endpoint",
     "kernel_combination",
-    "kernel_combination_endpoint",
     "huygens_k0",
     "huygens_k1",
 ]
@@ -253,15 +251,6 @@ def kernel_combination(r, t, params: PhysicalParams):
     """2 K0 + n H K1, the weight multiplying the data block in the
     field representation."""
     ke = kernel_eval(r, t, params)
-    return 2.0 * ke.k0 + params.n * params.H * ke.k1
-
-
-def kernel_k1_endpoint(xi, t, params: PhysicalParams):
-    return kernel_eval_endpoint(xi, t, params).k1
-
-
-def kernel_combination_endpoint(xi, t, params: PhysicalParams):
-    ke = kernel_eval_endpoint(xi, t, params)
     return 2.0 * ke.k0 + params.n * params.H * ke.k1
 
 

@@ -242,6 +242,23 @@ class TestFieldMethods:
             spread = max(abs(v - vals[0]) for v in vals)
             assert spread <= 1e-7 * (1.0 + abs(vals[0]))
 
+    @pytest.mark.parametrize("r,t", [(0.7, 5.0), (0.7, 20.0), (0.3, 40.0), (0.95, 12.0)])
+    def test_late_convolution_matches_huygens_forms(self, r, t):
+        # every point runs through the endpoint layer with a velocity
+        # profile; on the collapsing mass the convolution is a plain time
+        # integral, an independent result.  The bound is relative: values
+        # reach 1e-19, far below what a (1 + |a|) bound can see
+        mode = pionic_mode(2, 1, energy=SQRT2)
+        params = PhysicalParams(H=1.0, m=SQRT2)
+        refs = [
+            field_riemann_huygens(mode, params, r, t),
+            field_hankel_huygens(mode, params, r, t),
+        ]
+        for fn in (field_riemann, field_hankel):
+            got = fn(mode, params, r, t)
+            for ref in refs:
+                assert abs(got - ref) <= 1e-7 * abs(ref), fn.__name__
+
     def test_huygens_methods_reject_other_masses(self):
         mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))
         params = PhysicalParams(H=1.0, m=1.0)

@@ -21,11 +21,7 @@ from dswave import (
     kernel_k1,
     phi_of_t,
 )
-from dswave.kernels import (
-    kernel_combination_endpoint,
-    kernel_eval_endpoint,
-    kernel_k1_endpoint,
-)
+from dswave.kernels import kernel_eval_endpoint
 
 KERNEL_POINTS = {
     "real_M": dict(r=0.4, t=1.0, H=1.0, m=1.0,
@@ -196,23 +192,18 @@ class TestEndpointParametrization:
     @example(xi=34.4, t=9.4)
     def test_matches_direct_form_at_moderate_times(self, xi, t):
         # where both parametrizations are well conditioned they must agree
+        # at one point: the rounded radius r and the xi it stands for (r
+        # carries an absolute rounding of order eps, a relative eps/(xi q)
+        # of the distance 1 - H r that the kernels resolve)
         p = PhysicalParams(H=1.0, m=2.0)
         q = math.exp(-t)
         if xi * q >= 0.999:
             return
         r = (1.0 - xi * q) / 1.0
         direct = kernel_eval(r, t, p)
-        layered = kernel_eval_endpoint(xi, t, p)
+        layered = kernel_eval_endpoint((1.0 - r) / q, t, p)
         assert layered.k0 == pytest.approx(direct.k0, rel=1e-9)
         assert layered.k1 == pytest.approx(direct.k1, rel=1e-9)
-
-    def test_wrappers_agree_with_eval(self):
-        p = PhysicalParams(H=1.0, m=2.0)
-        ev = kernel_eval_endpoint(2.5, 20.0, p)
-        assert kernel_k1_endpoint(2.5, 20.0, p) == ev.k1
-        assert kernel_combination_endpoint(2.5, 20.0, p) == pytest.approx(
-            2.0 * ev.k0 + 3.0 * ev.k1, rel=1e-15
-        )
 
     def test_domain_errors(self):
         p = PhysicalParams(H=1.0, m=1.0)
