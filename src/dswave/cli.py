@@ -878,6 +878,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(cfg)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); what it read was
+        # written.  Point stdout at devnull so the flush at exit cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

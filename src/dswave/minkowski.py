@@ -26,9 +26,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import j0 as _bessel_j0
-from scipy.special import j1 as _bessel_j1
 
 from .errors import DomainError, InvalidParam, ToleranceNotMet, UnsupportedEll
 from .quadrature import (
@@ -196,6 +193,9 @@ def tabulated_profile(
     decay_k: float = math.inf,
 ) -> RadialProfile:
     """Cubic-spline profile through sampled (r, F) pairs, zero outside them."""
+    # scipy is imported where it is used: importing dswave loads none of it
+    from scipy.interpolate import CubicSpline
+
     r = np.asarray(r_values, dtype=float)
     f = np.asarray(f_values)
     if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0) or r[0] <= 0:
@@ -693,6 +693,9 @@ def minkowski_kg(
     outer = spec
     if r < t:
         outer = replace(spec, singularity_split_points=(math.asin(r / t),))
+    from scipy.special import j0 as _bessel_j0
+    from scipy.special import j1 as _bessel_j1
+
     if m0 > 0.0:
         u -= m0 * t * integrate_finite(
             lambda h: _bessel_j1(m0 * t * np.cos(h))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, InstabilityDetected
 from .desitter import FieldGrid
@@ -147,6 +146,8 @@ def solve_fd(
                 f"by t={t_now:.4g}; reduce cfl_safety or refine the grid"
             )
         snapshots[t_stop] = r_state.copy()
+
+    from scipy.interpolate import CubicSpline
 
     values = np.empty((len(rs), len(ts)), dtype=complex)
     for j, t in enumerate(ts):

@@ -1,11 +1,13 @@
 """Special-function substrate: Gauss hypergeometric 2F1 with complex
 parameters and real argument, half-integer Bessel J, associated Laguerre
-polynomials, spherical harmonics, and the upper incomplete gamma function.
+polynomials, spherical harmonics, and the upper incomplete gamma function,
+on a native complex gamma and digamma.
 
-Everything here is pure 64-bit floating point; extended-precision reference
-values used by the test suite come from a separate dev-only tool.  2F1,
-half-integer Bessel J and the Laguerre polynomials take scalars or arrays
-of their argument and return the same.
+Everything here is pure 64-bit floating point with numpy alone; its
+constants and the extended-precision reference values used by the test
+suite come from a separate dev-only tool.  2F1, half-integer Bessel J and
+the Laguerre polynomials take scalars or arrays of their argument and
+return the same.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma as _digamma
-from scipy.special import gamma as _gamma
-from scipy.special import zetac as _zetac
 
 from .errors import DivergentSeries, DomainError, InvalidParam
 
@@ -42,6 +41,84 @@ _SERIES_CUT = 0.95
 # arguments per block of a series evaluation: a block is summed to the
 # length its largest |z| needs
 _SERIES_BLOCK = 256
+
+
+# ---------------------------------------------------------------------------
+# Gamma and digamma
+
+# Lanczos (1964) with G. R. Pugh's (2004) choice n = 10, r = 10.900511:
+# Gamma(x+1) = 2 sqrt(e/pi) ((x+r+1/2)/e)^(x+1/2) NUM(x)/DEN(x), where
+# DEN(x) = (x+1)...(x+10).  Every NUM coefficient is positive, so the
+# ratio does not cancel on Re x >= -1/2 (the sum of partial fractions
+# d_0 + sum d_k/(x+k) loses up to 8e-14 to cancellation at Re x ~ 6).
+# NUM and DEN are printed by tools/gen_oracle_values.py.
+_LANCZOS_R = 10.900511
+_LANCZOS_PRE = 2.0 * math.sqrt(math.e / math.pi)
+_LANCZOS_NUM = (
+    952457.957557544, 832673.7273135998, 327584.79448459303, 76372.3328868775,
+    11684.895852801732, 1225.925008066776, 89.31974325114439, 4.4625299543176595,
+    0.14631571834485183, 0.002842914597947804, 2.4857408913875355e-05,
+)
+_LANCZOS_DEN = (
+    3628800.0, 10628640.0, 12753576.0, 8409500.0, 3416930.0, 902055.0,
+    157773.0, 18150.0, 1320.0, 55.0, 1.0,
+)
+# digamma: upward recurrence to Re z >= _PSI_SHIFT, then the asymptotic
+# series ln z - 1/(2z) - sum_k B_2k / (2k z^2k) (DLMF 5.11.2), whose
+# coefficients B_2k/(2k), k = 1..8, are these; the next term is < 3e-18
+_PSI_SHIFT = 10.0
+_PSI_ASYMPT = (
+    1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, -3617 / 8160,
+)
+
+
+def _gamma(z: complex) -> complex:
+    """Gamma(z) for complex z: the Lanczos rational form on Re z >= 1/2 and
+    the reflection Gamma(z) = pi / (sin(pi z) Gamma(1-z)) below it.  At a
+    pole, and where |Gamma| exceeds binary64, the value is inf + 0j, so
+    dividing by it gives 0: divide by each Gamma in turn, never by a
+    product of them."""
+    if z.real < 0.5:
+        k = round(z.real)
+        # sin(pi z) from the exact remainder z - k, so the poles are exact
+        s = cmath.sin(math.pi * (z - k))
+        if s == 0.0:
+            return complex(math.inf, 0.0)
+        return (-math.pi if k % 2 else math.pi) / s / _gamma(1.0 - z)
+    x = z - 1.0
+    t = (x + (_LANCZOS_R + 0.5)) / math.e
+    try:
+        # t^(x+1/2) as the square of t^((x+1/2)/2): t^(x+1/2) alone
+        # overflows on 168 < Re x < 171, where Gamma is still finite
+        h = t ** (0.5 * x + 0.25)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+    g = _LANCZOS_PRE * polyval_ascending(_LANCZOS_NUM, x) / polyval_ascending(_LANCZOS_DEN, x)
+    g = g * h * h
+    return complex(math.inf, 0.0) if cmath.isinf(g) else g
+
+
+def _digamma(z: np.ndarray) -> np.ndarray:
+    """psi(z) elementwise on a real or complex array, away from the poles
+    z = 0, -1, -2, ...: upward recurrence and the asymptotic series, after
+    the reflection psi(z) = psi(1-z) - pi cot(pi z) on Re z < 0, which
+    keeps the recurrence within 10 steps."""
+    z = np.asarray(z)
+    neg = z.real < 0.0
+    if neg.any():
+        out = _digamma(np.where(neg, 1.0 - z, z))
+        k = np.round(z.real[neg])
+        out[neg] -= np.pi / np.tan(np.pi * (z[neg] - k))
+        return out
+    acc = np.zeros_like(z, dtype=np.result_type(z, 1.0))
+    w = acc + z
+    low = w.real < _PSI_SHIFT
+    while low.any():
+        acc[low] -= 1.0 / w[low]
+        w[low] += 1.0
+        low = w.real < _PSI_SHIFT
+    u = 1.0 / (w * w)
+    return acc + np.log(w) - 0.5 / w - u * polyval_ascending(_PSI_ASYMPT, u)
 
 
 def _nonpositive_int(w: complex, tol: float = _INT_TOL) -> int | None:
@@ -179,22 +256,31 @@ def _log_coeffs(a: complex, b: complex, m: int) -> tuple[np.ndarray, list[float]
     return np.stack([c, c * psi]), _tail_bound(c)
 
 
+@lru_cache(maxsize=64)
+def _log_case_coeffs(a: complex, b: complex, m: int) -> tuple[complex, complex]:
+    """Gamma ratios of the log case: Gamma(m) Gamma(a+b+m) / (Gamma(a+m)
+    Gamma(b+m)) before its finite part and -(-1)^m Gamma(a+b+m) /
+    (Gamma(a) Gamma(b)) before its log part."""
+    g = _gamma(a + b + m)
+    finite = _gamma(complex(m)) * g / _gamma(a + m) / _gamma(b + m) if m > 0 else 0j
+    return finite, -((-1.0) ** m) * g / _gamma(a) / _gamma(b)
+
+
 def _log_case(a: complex, b: complex, m: int, x: np.ndarray) -> np.ndarray:
     """2F1(a, b; a+b+m; z) for integer m >= 0 via the logarithmic expansion.
 
     x = 1-z, 0 < x <= 0.05 in practice.  Classical formula (equivalent to the
     c-a-b integer case of the connection formulas at z=1).
     """
+    coef, lead = _log_case_coeffs(a, b, m)
     res = np.zeros(x.size, dtype=complex)
     if m > 0:
         # finite part: sum_{n<m} (a)_n(b)_n/(n!(1-m)_n) x^n
-        coef = _gamma(m) * _gamma(a + b + m) / (_gamma(a + m) * _gamma(b + m))
         terms = [1.0 + 0.0j]
         for n in range(m - 1):
             terms.append(terms[-1] * (a + n) * (b + n) / ((n + 1) * (1 - m + n)))
         res += coef * _dot(np.array(terms), _powers(x, m))
     # logarithmic part
-    lead = -((-1.0) ** m) * _gamma(a + b + m) / (_gamma(a) * _gamma(b))
     if lead == 0.0:
         # 1/Gamma at a pole of Gamma: the whole log part vanishes
         return res
@@ -210,22 +296,28 @@ def _log_case(a: complex, b: complex, m: int, x: np.ndarray) -> np.ndarray:
     return res + lead * x**m * _blocked_series(rows, bound, x, accept)
 
 
+@lru_cache(maxsize=128)
+def _connection_coeffs(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    """Gamma ratios of the two-term z -> 1-z connection formula, w = c-a-b:
+    Gamma(c) Gamma(w) / (Gamma(c-a) Gamma(c-b)) and
+    Gamma(c) Gamma(-w) / (Gamma(a) Gamma(b))."""
+    w = c - a - b
+    g = _gamma(c)
+    return (
+        g * _gamma(w) / _gamma(c - a) / _gamma(c - b),
+        g * _gamma(-w) / _gamma(a) / _gamma(b),
+    )
+
+
 def _transform_z_to_1mz(a: complex, b: complex, c: complex, x: np.ndarray) -> np.ndarray:
     """2F1 near z=1 via connection formulas; x = 1-z computed by the caller."""
     w = c - a - b
     m = _near_int(w, _CAB_TOL)
     if m is None:
         # generic two-term connection formula
-        t1 = _gamma(c) * _gamma(w) / (_gamma(c - a) * _gamma(c - b)) * _gauss_series(
-            a, b, 1 - w, x
-        )
-        t2 = (
-            _gamma(c)
-            * _gamma(-w)
-            / (_gamma(a) * _gamma(b))
-            * np.exp(w * np.log(x))
-            * _gauss_series(c - a, c - b, 1 + w, x)
-        )
+        g1, g2 = _connection_coeffs(a, b, c)
+        t1 = g1 * _gauss_series(a, b, 1 - w, x)
+        t2 = g2 * np.exp(w * np.log(x)) * _gauss_series(c - a, c - b, 1 + w, x)
         return t1 + t2
     if m < 0:
         # Euler reflection turns c-a-b = -|m| into +|m|, then the log case
@@ -564,8 +656,23 @@ def _lower_gamma_series(a: float, x: float) -> float:
 _EULER_GAMMA = 0.5772156649015328606
 # (-1)^k (zeta(k) - 1) / k, k = 2..40: coefficients of the series
 # ln Gamma(1+a) = -ln(1+a) + (1-euler) a + sum_k c_k a^k (DLMF 5.7.3, |a| < 2);
-# at |a| <= 1/2 the last term kept is below 1e-24.
-_LNGAMMA1P_COEFFS = tuple((-1) ** k * float(_zetac(k)) / k for k in range(2, 41))
+# at |a| <= 1/2 the last term kept is below 1e-24.  Printed by
+# tools/gen_oracle_values.py.
+_LNGAMMA1P_COEFFS = (
+    0.3224670334241132, -0.0673523010531981, 0.020580808427784546,
+    -0.007385551028673986, 0.0028905103307415234, -0.001192753911703261,
+    0.0005096695247430425, -0.00022315475845357939, 9.945751278180853e-05,
+    -4.492623673813314e-05, 2.050721277567069e-05, -9.439488275268397e-06,
+    4.374866789907488e-06, -2.039215753801366e-06, 9.55141213040742e-07,
+    -4.492469198764566e-07, 2.1207184805554665e-07, -1.0043224823968099e-07,
+    4.7698101693639804e-08, -2.2711094608943164e-08, 1.0838659214896955e-08,
+    -5.183475041970047e-09, 2.4836745438024785e-09, -1.1921401405860912e-09,
+    5.731367241678862e-10, -2.7595228851242334e-10, 1.330476437424449e-10,
+    -6.4229645638381e-11, 3.1044247747322276e-11, -1.5021384080754142e-11,
+    7.275974480239079e-12, -3.527742476575915e-12, 1.711991790559618e-12,
+    -8.315385841420285e-13, 4.04220052528944e-13, -1.9664756310966165e-13,
+    9.573630387838556e-14, -4.6640760264283744e-14, 2.2737369600659724e-14,
+)
 # Region of the small-|a| expansion: |a| <= 1/2 and x <= 3/2.
 _SMALL_A = 0.5
 _SMALL_A_XMAX = 1.5

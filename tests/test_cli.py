@@ -3,10 +3,16 @@ determinism across parallelism degrees."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import dswave
 from dswave import (
     ModeState,
     PhysicalParams,
@@ -24,6 +30,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def python(*argv, **kwargs) -> subprocess.Popen:
+    """A fresh interpreter that imports the dswave under test."""
+    src = str(Path(dswave.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
 
 
 class TestEval:
@@ -312,3 +326,47 @@ class TestKernels:
         assert lines[1].endswith(",ok")
         assert lines[2].endswith(",DomainError")
         assert "nan" in lines[2]
+
+
+class TestProcess:
+    def test_reader_closing_the_pipe_early(self):
+        # ~270 kB of rows, four times the pipe buffer: the writer is still
+        # writing when the reader leaves after one line (`| head -1`)
+        proc = python(
+            "-m", "dswave", "kernels", "--r", "0:0.99:200", "--t", "0.5:3:10", "--jobs", "1",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert first.startswith(b"r,t,k0_re")
+        assert err == b""
+
+    def test_no_scipy_on_the_start_up_path(self):
+        # scipy serves only tabulated profiles, minkowski_kg and the FD
+        # oracle; the import, the default eval, the collapsing-mass kernels
+        # (log case: Gamma and digamma) and the late-time endpoint layer
+        # (t = 5, 10) load none of it
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            import dswave.cli
+            assert not scipy_modules(), scipy_modules()
+            for argv in (
+                ["eval"],
+                ["kernels", "--mass", repr(2 ** 0.5), "--r", "0:0.9:10", "--t", "3:12:10"],
+                ["eval", "--t", "5,10"],
+            ):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = dswave.cli.main(argv)
+                assert code == 0, (argv, code)
+                assert not scipy_modules(), (argv, scipy_modules())
+        """)
+        proc = python("-c", script, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()

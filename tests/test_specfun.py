@@ -3,6 +3,7 @@
 invariants."""
 
 import math
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dswave import specfun
 from dswave import (
     DivergentSeries,
     DomainError,
@@ -36,9 +38,50 @@ HYP2F1_CASES = {
     (0.25, 0.75, 3.0, 0.985): complex(1.0946072865261468, 0.0),
     (1.3, 1.2, 1.5, 0.97): complex(35.5976989611083995, 0.0),
     (0.3, 1.1, 2.17, 0.99): complex(1.38079251102145891, 0.0),
+    # a = c: (1-z)^-b; the Euler reflection meets a pole of Gamma in the
+    # log-case lead, which zeroes the log part
+    (2.0, 0.3, 0.3, 0.97): complex(1111.11111111111111, 0.0),
 }
 
 HYP2F1_COMPLEMENT = complex(12.3308416285368641, 0.0)  # a=b=1/2, c=1, 1-z=2.4e-16
+
+# the right half-plane and large |Im z|, the reflection half-plane, and the
+# kernel-line arguments 1/2 - M/H, 3/2 - M/H at m = 0.5 and m = 2 (H = 1)
+GAMMA_CASES = {
+    (1+0j): complex(1.0, 0.0),
+    (0.5+0j): complex(1.77245385090551603, 0.0),
+    (7.25+0j): complex(1155.38101391998969, 0.0),
+    (2.5+1.5j): complex(0.309936225840741353, 0.734084273621481339),
+    (7.5-3.75j): complex(271.507414161526018, -663.137873068202519),
+    (0.75+25j): complex(3.83104431095976855e-17, -3.12125429001042878e-17),
+    (3.25-40j): complex(8.31395319032409403e-24, 3.19058979044676978e-23),
+    (0.25-0.5j): complex(0.515524490135069097, 1.30732592663182539),
+    (-3.7+0.4j): complex(0.114862344104568973, 0.0025574374545805196),
+    (-5.5+2.1j): complex(-0.000033572764789325665, -0.0000263067586996705198),
+    (-0.3-1.2j): complex(-0.247270403106432411, 0.198827793625625234),
+    (-2.5+0j): complex(-0.945308720482941881, 0.0),
+    (-0.914213562373095+0j): complex(-12.2054398117706573, 0.0),
+    (0.08578643762690495+0j): complex(11.158378610649253, 0.0),
+    (0.5-1.3228756555322954j): complex(0.190105045464590731, 0.249600439395046658),
+    (1.5-1.3228756555322954j): complex(0.425242867618166672, -0.126685116941443947),
+}
+GAMMA_171_5 = 9.48336756682479934e+307
+# real n + 1, complex a + n + m on the kernel line at m = 2, and the
+# reflection half-plane
+DIGAMMA_CASES = {
+    (1+0j): complex(-0.577215664901532861, 0.0),
+    (2+0j): complex(0.422784335098467139, 0.0),
+    (7+0j): complex(1.87278433509846714, 0.0),
+    (151+0j): complex(5.01396492374234594, 0.0),
+    (2000+0j): complex(7.60065243870874955, 0.0),
+    (0.5-1.3228756555322954j): complex(0.2525704135221506, -1.57002499239006509),
+    (1.5-1.3228756555322954j): complex(0.502570413522150579, -0.90858716462391747),
+    (5.5-1.3228756555322954j): complex(1.6446158680676051, -0.257886963931895584),
+    (40.5-1.3228756555322954j): complex(3.68945198381618565, -0.0330581234764348233),
+    (-1.7+0j): complex(-1.48571749951105671, 0.0),
+    (-0.7+0j): complex(-2.07395279362870378, 0.0),
+    (-2.4+0.3j): complex(1.51672447736667675, 2.31697057920307015),
+}
 
 UPPER_GAMMA_CASES = {
     (0.5, 0.25): 0.84989183807993113,
@@ -163,6 +206,51 @@ class TestHyp2f1:
         val = hyp2f1(A_IM, A_IM, 1.0, z)
         pfaff = (1.0 - z) ** (-A_IM) * hyp2f1(A_IM, 1.0 - A_IM, 1.0, z / (z - 1.0))
         assert val == pytest.approx(pfaff, rel=1e-9)
+
+
+class TestGamma:
+    @pytest.mark.parametrize("z,want", GAMMA_CASES.items(), ids=str)
+    def test_frozen_references(self, z, want):
+        assert specfun._gamma(z) == pytest.approx(want, rel=1e-14)
+
+    def test_poles_give_a_zero_reciprocal(self):
+        for k in range(4):
+            g = specfun._gamma(complex(-k))
+            assert g == complex(math.inf, 0.0)
+            assert 1.0 / g == 0.0
+        # t^(x+1/2) alone would overflow below the binary64 limit of Gamma;
+        # 170 ulps of the power's rounding make this 1e-14, not 1e-15
+        assert specfun._gamma(171.5 + 0j) == pytest.approx(GAMMA_171_5, rel=1e-13)
+        assert specfun._gamma(172.0 + 0j) == complex(math.inf, 0.0)
+
+    def test_digamma_frozen_references(self):
+        zs = np.array(list(DIGAMMA_CASES))
+        want = np.array(list(DIGAMMA_CASES.values()))
+        assert np.abs(specfun._digamma(zs) / want - 1.0).max() <= 1e-14
+        real = zs.real[zs.imag == 0.0]
+        got = specfun._digamma(real)
+        assert got.dtype == np.float64
+        assert np.abs(got / want[zs.imag == 0.0].real - 1.0).max() <= 1e-14
+
+    def test_frozen_zeta_constants_give_lgamma(self):
+        # ln Gamma(1+a) = -ln(1+a) + (1-euler) a + sum_k c_k a^k on |a| <= 1/2,
+        # at a = k/256 so that 1 + a is exact; math.lgamma is good to an
+        # absolute 6e-16 near its zero at a = 0, not to a relative 1e-14
+        for k in range(-128, 129):
+            a = k / 256
+            poly = 0.0
+            for c in reversed(specfun._LNGAMMA1P_COEFFS):
+                poly = poly * a + c
+            series = -math.log1p(a) + (1.0 - specfun._EULER_GAMMA) * a + a * a * poly
+            assert series == pytest.approx(math.lgamma(1.0 + a), rel=1e-14, abs=1e-15)
+
+    def test_gamma_pole_in_the_log_case_lead(self):
+        # F(0.3, 2; 0.3; z) = (1-z)^-2 runs through the Euler reflection into
+        # the log case at a = 0, where 1/Gamma(0) = 0 drops the log part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hyp2f1(0.3, 2.0, 0.3, 0.97)
+        assert got == pytest.approx(HYP2F1_CASES[(2.0, 0.3, 0.3, 0.97)], rel=1e-13)
 
 
 class TestUpperIncompleteGamma:

@@ -1,4 +1,5 @@
-"""Regenerate the frozen reference constants used by the test suite.
+"""Regenerate the frozen reference constants used by the test suite, and
+the gamma-function constants of src/dswave/specfun.py.
 
 Every [DERIVED] constant asserted in tests/ is produced here from mpmath at
 40 significant digits, via formulas or quadratures independent of the
@@ -7,8 +8,8 @@ where they exist, tanh-sinh quadrature elsewhere).  Run
 
     python3 tools/gen_oracle_values.py
 
-and paste the printed blocks into the matching test modules.  mpmath is a
-dev-only dependency; the package and its tests never import it.
+and paste the printed blocks into the modules their headers name.  mpmath
+is a dev-only dependency; the package and its tests never import it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def gen_hyp2f1() -> None:
         ("log_m2", mp.mpf("0.25"), mp.mpf("0.75"), 3, mp.mpf("0.985")),
         ("euler_neg", mp.mpf("1.3"), mp.mpf("1.2"), mp.mpf("1.5"), mp.mpf("0.97")),
         ("generic_near1", mp.mpf("0.3"), mp.mpf("1.1"), mp.mpf("2.17"), mp.mpf("0.99")),
+        # a = c: F = (1-z)^-b.  The Euler reflection lands on the log case
+        # with a pole of Gamma in its lead, which must zero the log part
+        ("gamma_pole_lead", 2, mp.mpf("0.3"), mp.mpf("0.3"), mp.mpf("0.97")),
     ]
     print("HYP2F1_CASES = {")
     for name, a, b, c, z in cases:
@@ -62,6 +66,107 @@ def gen_hyp2f1() -> None:
     one_minus = mp.mpf("2.4e-16")
     v = mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, 1 - one_minus)
     print(f"HYP2F1_COMPLEMENT = {cfmt(v)}  # a=b=1/2, c=1, 1-z=2.4e-16")
+
+
+# ---------------------------------------------------------------------------
+# Gamma and digamma: the native constants and their references
+
+
+def lanczos_coeffs(r, n: int):
+    """Lanczos' (1964) coefficients a_k(r), k <= n, from the Chebyshev
+    moments of F_r(j) = Gamma(j+1/2) (j+r+1/2)^-(j+1/2) e^(j+r+1/2) / sqrt(2),
+    summed in partial fractions d_0 + sum_k d_k/(z+k) and scaled to
+    Gamma(z+1) = 2 sqrt(e/pi) ((z+r+1/2)/e)^(z+1/2) [d_0 + sum_k d_k/(z+k)],
+    the form of G. R. Pugh's thesis (UBC, 2004)."""
+    half = mp.mpf(1) / 2
+
+    def f(j):
+        return mp.gamma(j + half) * (j + r + half) ** (-(j + half)) * mp.e ** (j + r + half) / mp.sqrt(2)
+
+    a = []
+    for k in range(n + 1):
+        cheb = mp.taylor(lambda x: mp.chebyt(2 * k, x), 0, 2 * k)
+        a.append(2 / mp.pi * sum(cheb[2 * j] * f(j) for j in range(k + 1)))
+    d = [a[0] / 2 + sum(a[1:])] + [mp.mpf(0)] * n
+    for k in range(1, n + 1):
+        # z(z-1)...(z-k+1) / ((z+1)...(z+k)) = 1 + sum_j residue_j / (z+j)
+        for j in range(1, k + 1):
+            num = mp.fprod([-j - i for i in range(k)])
+            den = mp.fprod([i - j for i in range(1, k + 1) if i != j])
+            d[j] += a[k] * num / den
+    scale = mp.pi * mp.e ** (-r) / mp.sqrt(2 * mp.e)
+    return [v * scale for v in d]
+
+
+def _polymul(p, q):
+    out = [mp.mpf(0)] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def _rising(n: int, skip: int = 0):
+    # ascending coefficients of prod_{k=1..n, k != skip} (x + k)
+    poly = [mp.mpf(1)]
+    for k in range(1, n + 1):
+        if k != skip:
+            poly = _polymul(poly, [mp.mpf(k), mp.mpf(1)])
+    return poly
+
+
+def gen_gamma_constants() -> None:
+    header("Gamma constants (src/dswave/specfun.py)")
+    # Pugh's choice for binary64: n = 10, r = 10.900511.  Over the common
+    # denominator prod_k (x+k) every numerator coefficient is positive, so
+    # the rational form does not cancel on Re x >= 0
+    n, r = 10, mp.mpf("10.900511")
+    d = lanczos_coeffs(r, n)
+    num = [d[0] * v for v in _rising(n)]
+    for k in range(1, n + 1):
+        for i, v in enumerate(_rising(n, skip=k)):
+            num[i] += d[k] * v
+    print("_LANCZOS_NUM = (")
+    for v in num:
+        print(f"    {float(v)!r},")
+    print(")")
+    print("_LANCZOS_DEN = (")
+    for v in _rising(n):
+        print(f"    {float(v)!r},")
+    print(")")
+    print("_LNGAMMA1P_COEFFS = (")
+    for k in range(2, 41):
+        print(f"    {float((-1) ** k * (mp.zeta(k) - 1) / k)!r},")
+    print(")")
+
+
+def _kernel_line(m):
+    # 1/2 - M/H and 3/2 - M/H at H = 1, n = 3, as binary64 arguments
+    mh = mp.sqrt(mp.mpc(mp.mpf(9) / 4 - mp.mpf(m) ** 2))
+    return [complex(mp.mpf(1) / 2 - mh), complex(mp.mpf(3) / 2 - mh)]
+
+
+def gen_gamma() -> None:
+    header("Gamma and digamma (tests/test_specfun.py)")
+    args = [
+        # right half-plane, the real axis and large |Im z|
+        1.0, 0.5, 7.25, 2.5 + 1.5j, 7.5 - 3.75j, 0.75 + 25.0j, 3.25 - 40.0j,
+        # the reflection half-plane
+        0.25 - 0.5j, -3.7 + 0.4j, -5.5 + 2.1j, -0.3 - 1.2j, -2.5,
+        *_kernel_line(0.5), *_kernel_line(2.0),
+    ]
+    print("GAMMA_CASES = {")
+    for z in args:
+        print(f"    {complex(z)!r}: {cfmt(mp.gamma(mp.mpc(z)))},")
+    print("}")
+    # t^(x+1/2) alone overflows here, Gamma does not
+    print(f"GAMMA_171_5 = {ffmt(mp.gamma(mp.mpf('171.5')))}")
+    a = _kernel_line(2.0)[0]
+    args = [1.0, 2.0, 7.0, 151.0, 2000.0] + [a + k for k in (0, 1, 5, 40)] + [-1.7, -0.7, -2.4 + 0.3j]
+    print("DIGAMMA_CASES = {")
+    for z in args:
+        print(f"    {complex(z)!r}: {cfmt(mp.digamma(mp.mpc(z)))},")
+    print("}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +418,8 @@ def gen_huygens_pionic() -> None:
 def main() -> None:
     print("# generated by tools/gen_oracle_values.py (mpmath, dps=40)")
     gen_hyp2f1()
+    gen_gamma_constants()
+    gen_gamma()
     gen_kernels()
     gen_scalars()
     gen_pionic()
