@@ -42,6 +42,7 @@ from .desitter import (
 from .errors import (
     ConfigError,
     DegenerateFit,
+    DivergentSeries,
     DomainError,
     InstabilityDetected,
     InvalidParam,
@@ -756,7 +757,7 @@ def cmd_kernels(cfg: dict[str, Any]) -> int:
                     comb.real, comb.imag,
                 ]
                 flag = "ok"
-            except (DomainError, QuadratureFailure) as exc:
+            except (DomainError, DivergentSeries, QuadratureFailure) as exc:
                 nan = math.nan
                 row = [r, t, nan, nan, nan, nan, nan, nan]
                 flag = type(exc).__name__

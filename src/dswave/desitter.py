@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DegenerateFit,
+    DivergentSeries,
     DomainError,
     InvalidParam,
     NonFiniteIntegrand,
@@ -197,11 +198,11 @@ def _check_point(
 
 def _kernels(evaluate, x, t: float, params: PhysicalParams) -> kernels.KernelEval:
     """Both kernels at the convolution nodes, from one evaluation.  Where
-    they cannot be evaluated there (beyond the binary64 range at late
-    times) the convolution has no finite integrand."""
+    they cannot be evaluated there (beyond the binary64 range at late times,
+    or a series that cancels at heavy masses) the integrand is not finite."""
     try:
         return evaluate(x, t, params)
-    except DomainError as exc:
+    except (DomainError, DivergentSeries) as exc:
         raise NonFiniteIntegrand(f"convolution kernel at t={t}: {exc}") from None
 
 
@@ -331,6 +332,14 @@ def ita_assemble(
     return lead + _ita_integrals(wave_solution, params, r, t, wave_solution_1, spec)
 
 
+def _wave_blocks(mode: ModeState, spec: QuadratureSpec):
+    """ita_assemble's wave blocks of the mode's data and velocity (or None)."""
+    w0 = lambda rr, s: wave_block(mode.f0, mode.ell, rr, s, spec)
+    if mode.f1 is None:
+        return w0, None
+    return w0, lambda rr, s: wave_block(mode.f1, mode.ell, rr, s, spec)
+
+
 def ita_remainder(
     mode: ModeState,
     params: PhysicalParams,
@@ -342,10 +351,7 @@ def ita_remainder(
     damped traveling term); this is the piece whose late-time envelope the
     decay machinery classifies."""
     _check_point(mode, params, r, t)
-    w0 = lambda rr, s: wave_block(mode.f0, mode.ell, rr, s, spec)
-    w1 = None
-    if mode.f1 is not None:
-        w1 = lambda rr, s: wave_block(mode.f1, mode.ell, rr, s, spec)
+    w0, w1 = _wave_blocks(mode, spec)
     return _ita_integrals(w0, params, r, t, w1, spec)
 
 
@@ -365,10 +371,7 @@ def field_riemann(
     """Field value via quadrature wave blocks under the assembly formula."""
     _check_point(mode, params, r, t)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
-    w0 = lambda rr, s: wave_block(mode.f0, mode.ell, rr, s, spec)
-    w1 = None
-    if mode.f1 is not None:
-        w1 = lambda rr, s: wave_block(mode.f1, mode.ell, rr, s, spec)
+    w0, w1 = _wave_blocks(mode, spec)
     return y * ita_assemble(w0, params, r, t, w1, spec=spec)
 
 

@@ -299,11 +299,17 @@ def solve_riemann(
         )
     v = wave_block(mode.f0, mode.ell, r, t, spec)
     if mode.f1 is not None and t > 0.0:
-        outer = replace(spec, singularity_split_points=(r,))
-        v += integrate_finite(
-            lambda tau: wave_block(mode.f1, mode.ell, r, tau, spec), 0.0, t, outer
-        ).value
+        v += _velocity_block(mode.f1, mode.ell, r, t, spec)
     return v
+
+
+def _velocity_block(
+    f1: RadialProfile, ell: int, r: float, t: float, spec: QuadratureSpec
+) -> complex:
+    """Radial wave solution at (r, t) for data (0, f1): the f1 wave block
+    integrated over [0, t], with a break where the block kinks, at r."""
+    outer = replace(spec, singularity_split_points=(r,))
+    return integrate_finite(lambda tau: wave_block(f1, ell, r, tau, spec), 0.0, t, outer).value
 
 
 def solve_recursive(
@@ -430,120 +436,92 @@ def _component_tail(
 
         coef * int_{lam0}^inf g(lam) P(1/(r lam)) trig(freq lam) dlam.
 
-    Every component whose oscillation starts within reach of lam0 runs on
-    one oscillatory ladder, in phase-aligned half-period cells; the rare
-    near-DC ones each take the path of _near_dc_tail."""
-    out = np.zeros(len(comps), dtype=complex)
-    quarter = math.pi / (4.0 * lam0)
-    fast = []
-    for i, (coef, freq, kind, poly) in enumerate(comps):
-        if kind == "sin":
-            if freq < 0.0:
-                coef, freq = -coef, -freq
-            if freq == 0.0:
-                continue
-        else:
-            freq = abs(freq)
-        if freq >= quarter:
-            fast.append((i, coef, freq, kind == "sin", poly))
-        else:
-            out[i] = _near_dc_tail(gfun, coef, freq, kind, poly, r, lam0, spec)
-    if not fast:
-        return out
-    idx, coef, freq, is_sin, polys = zip(*fast)
-    idx, coef, freq, is_sin = np.array(idx), np.array(coef), np.array(freq), np.array(is_sin)
+    Every component takes one path.  Its trig factor is flat out to
+    flat_end = pi/(4 freq), clipped to [lam0, lam_slow]; geometric panels
+    lam0 2^j cover [lam0, flat_end], all of them one batch (most components
+    oscillate from lam0 on and have none).  Where the oscillation starts
+    below lam_slow, the component continues from flat_end on one ladder of
+    phase-aligned half-period cells.  Each component has its own cap there:
+    lambda_max, lifted to 3000 pi/(4 freq) for the near-DC ones, so that
+    their first cells fit.  The components that stay flat to lam_slow
+    (freq = 0, or indistinguishable from it) close with a power-law tail."""
+    coef, freq, kind, polys = zip(*comps)
+    freq = np.array(freq)
+    is_sin = np.array(kind) == "sin"
+    # sin(-f lam) = -sin(f lam), and a sin component of frequency 0 vanishes
+    coef = np.where(is_sin & (freq < 0.0), -np.array(coef), coef)
+    live = np.flatnonzero(~is_sin | (freq != 0.0))
+    coef, freq, is_sin = coef[live], np.abs(freq[live]), is_sin[live]
     # ascending coefficients, zero-padded to one degree (Horner sees the
     # padding as leading zeros)
-    deg = max(len(p) for p in polys)
-    cmat = np.array([list(p) + [0.0] * (deg - len(p)) for p in polys])
+    deg = max(len(polys[i]) for i in live)
+    cmat = np.array([list(polys[i]) + [0.0] * (deg - len(polys[i])) for i in live])
 
-    def integrand(lam: np.ndarray, k: np.ndarray) -> np.ndarray:
-        u = 1.0 / (r * lam)
+    def poly(k, u):
         p = 0.0
         for j in range(deg - 1, -1, -1):
             p = p * u + cmat[k, j]
+        return p
+
+    def integrand(lam: np.ndarray, k: np.ndarray) -> np.ndarray:
         w = freq[k] * lam
-        return gfun(lam) * p * np.where(is_sin[k], np.sin(w), np.cos(w))
+        return gfun(lam) * poly(k, 1.0 / (r * lam)) * np.where(is_sin[k], np.sin(w), np.cos(w))
 
-    # first cell edge at the first zero of the trig factor beyond lam0
-    off = np.where(is_sin, 0.0, 0.5)
-    z1 = (np.ceil(lam0 * freq / math.pi - off) + off) * math.pi / freq
-    low = z1 <= lam0
-    while low.any():
-        z1 = np.where(low, z1 + math.pi / freq, z1)
-        low = z1 <= lam0
-    res = integrate_oscillatory_batch(
-        integrand, 2.0 * math.pi / freq, spec, start=lam0, first_boundary=z1
-    )
-    out[idx] = coef * res.value
-    return out
+    trunc_max = spec.oscillatory_truncation.lambda_max
+    lam_slow = max(trunc_max, 16.0 * lam0)
+    with np.errstate(divide="ignore"):
+        lam1 = math.pi / (4.0 * freq)  # the quarter-period point, inf at freq 0
+    slow = freq < math.pi / (4.0 * lam0)
+    flat_end = np.where(slow, np.minimum(lam1, lam_slow), lam0)
 
+    edge = lam0 * 2.0 ** np.arange(math.ceil(math.log2(lam_slow / lam0)) + 1)
+    own, j = np.nonzero(edge < flat_end[:, None])
+    hi = np.minimum(2.0 * edge[j], flat_end[own])
+    pan = integrate_batch(lambda lam, k: integrand(lam, own[k]), edge[j], hi, spec)
+    n = live.size
+    tail = np.bincount(own, pan.value.real, n) + 1j * np.bincount(own, pan.value.imag, n)
 
-def _near_dc_tail(
-    gfun: Callable[[np.ndarray], np.ndarray],
-    coef: float,
-    freq: float,
-    kind: str,
-    poly: tuple[float, ...],
-    r: float,
-    lam0: float,
-    spec: QuadratureSpec,
-) -> complex:
-    """One trig component of _component_tail whose trig factor is flat out
-    to the quarter-period point: geometric panels to there (or to the
-    resource cap), then either resume oscillatory cells or close with an
-    algebraic tail correction."""
-    trig = np.sin if kind == "sin" else np.cos
-
-    def integrand(lam: np.ndarray) -> np.ndarray:
-        u = 1.0 / (r * lam)
-        return gfun(lam) * polyval_ascending(poly, u) * trig(freq * lam)
-
-    trunc = spec.oscillatory_truncation
-    lam_slow = max(trunc.lambda_max, 16.0 * lam0)
-    lam1 = math.pi / (4.0 * freq) if freq > 0.0 else math.inf
-    edge_hi = min(lam1, lam_slow)
-    edges = [lam0]
-    while edges[-1] < edge_hi:
-        edges.append(min(2.0 * edges[-1], edge_hi))
-    res = integrate_batch(lambda lam, k: integrand(lam), edges[:-1], edges[1:], spec)
-    val = complex(res.value.sum())
-    err = float(res.err_est.sum())
-    if lam1 < lam_slow:
-        # oscillation resumes; lift the cap so the first half-period cells fit
-        wide = replace(
-            spec,
-            oscillatory_truncation=replace(
-                trunc, lambda_max=max(trunc.lambda_max, 3000.0 * lam1)
-            ),
-        )
-        k = math.ceil(edge_hi * freq / math.pi - (0.0 if kind == "sin" else 0.5))
-        z1 = (k + (0.0 if kind == "sin" else 0.5)) * math.pi / freq
-        while z1 <= edge_hi:
-            z1 += math.pi / freq
-        val += integrate_semi_infinite_oscillatory(
-            integrand, 2.0 * math.pi / freq, wide, start=edge_hi, first_boundary=z1
-        ).value
-    else:
-        # freq == 0 (or indistinguishable): close with the power-law tail
+    closed = np.flatnonzero(lam1 >= lam_slow)
+    if closed.size:
         # int_L^inf c lam^-p = env(L) L / (p-1), p measured from the envelope
-        e0 = gfun(edge_hi) * polyval_ascending(poly, 1.0 / (r * edge_hi))
-        e1 = gfun(1.25 * edge_hi) * polyval_ascending(poly, 1.0 / (1.25 * r * edge_hi))
-        if abs(e0) > 0.0:
-            if abs(e1) == 0.0:
-                p = math.inf
-            else:
-                p = math.log(abs(e0) / abs(e1)) / math.log(1.25)
-            if p <= 1.2:
-                raise ToleranceNotMet(
-                    f"spectral envelope decays like lam^-{p:.2f}; tail "
-                    "correction unreliable",
-                    value=coef * val,
-                    err_est=err + abs(e0) * edge_hi,
-                )
-            if math.isfinite(p):
-                val += e0 * edge_hi / (p - 1.0)
-    return coef * val
+        g0, g1 = gfun(np.array([lam_slow, 1.25 * lam_slow]))
+        e0 = g0 * poly(closed, 1.0 / (r * lam_slow))
+        a0, a1 = np.abs(e0), np.abs(g1 * poly(closed, 1.0 / (1.25 * r * lam_slow)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(a1 == 0.0, np.inf, np.log(a0 / a1) / math.log(1.25))
+        bad = (a0 > 0.0) & (p <= 1.2)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ToleranceNotMet(
+                f"spectral envelope decays like lam^-{p[i]:.2f}; tail "
+                "correction unreliable",
+                value=coef[closed[i]] * tail[closed[i]],
+                err_est=np.bincount(own, pan.err_est, n)[closed[i]] + a0[i] * lam_slow,
+            )
+        add = (a0 > 0.0) & np.isfinite(p)
+        tail[closed[add]] += e0[add] * lam_slow / (p[add] - 1.0)
+
+    # every other component oscillates from flat_end on: the first cell edge
+    # is the first zero of its trig factor beyond there
+    osc = np.flatnonzero(lam1 < lam_slow)
+    start, f = flat_end[osc], freq[osc]
+    off = np.where(is_sin[osc], 0.0, 0.5)
+    z1 = (np.ceil(start * f / math.pi - off) + off) * math.pi / f
+    low = z1 <= start
+    while low.any():
+        z1 = np.where(low, z1 + math.pi / f, z1)
+        low = z1 <= start
+    tail[osc] += integrate_oscillatory_batch(
+        lambda lam, k: integrand(lam, osc[k]),
+        2.0 * math.pi / f,
+        spec,
+        start=start,
+        first_boundary=z1,
+        lambda_max=np.where(slow[osc], np.maximum(trunc_max, 3000.0 * lam1[osc]), trunc_max),
+    ).value
+    out = np.zeros(len(comps), dtype=complex)
+    out[live] = coef * tail
+    return out
 
 
 def _hankel_block(
@@ -561,12 +539,14 @@ def _hankel_block(
     Direct panels up to lam0 = max(40, 3(ell+2)/r); beyond that the Bessel
     factor splits exactly into sin/cos components with polynomial envelopes
     in 1/(r lam), the time weight is product-to-sum combined to frequencies
-    r +- omega, and each component runs through the oscillatory ladder.
+    r +- omega, and all components take _component_tail's one path:
+    geometric panels where the trig factor is still flat, one oscillatory
+    ladder with a cap per component, and a power-law closure at frequency 0.
 
     omega may be an array of times: the direct panels of all of them are
     then one batch of integrals, each block keeping its own panels and
-    tolerances, their tail components share one ladder, and the result is
-    an array of omega's shape.
+    tolerances, their tail components share that one path, and the result
+    is an array of omega's shape.
     """
     om = np.asarray(omega, dtype=float)
     flat = om.ravel()
@@ -715,11 +695,5 @@ def minkowski_kg(
                 outer,
             ).value
         else:
-            tau_outer = replace(spec, singularity_split_points=(r,))
-            u += integrate_finite(
-                lambda tau: wave_block(mode.f1, mode.ell, r, tau, spec),
-                0.0,
-                t,
-                tau_outer,
-            ).value
+            u += _velocity_block(mode.f1, mode.ell, r, t, spec)
     return u

@@ -342,6 +342,7 @@ def integrate_oscillatory_batch(
     *,
     start=0.0,
     first_boundary=None,
+    lambda_max=None,
 ) -> IntegralResult:
     """The independent integrals int_{start_i}^inf f(x, i) dx of
     oscillatory-decaying integrands, all on one ladder.
@@ -352,31 +353,32 @@ def integrate_oscillatory_batch(
     alternating runs of cell sums are accelerated by repeated averaging.
     A member converges either when two consecutive cells are negligible
     (decay-dominated case, with a geometric tail bound folded into err_est)
-    or when the accelerated estimate stabilizes.  On reaching lambda_max
-    the discarded tail must be below tail_tol, else TailNotNegligible.
+    or when the accelerated estimate stabilizes.  On reaching its cap
+    (lambda_max, by default spec.oscillatory_truncation.lambda_max) a
+    member's discarded tail must be below tail_tol, else TailNotNegligible.
     Every round, the next cells of all members still running are one
     engine pass, and each member comes out as it would alone.
 
-    period_hint, start and first_boundary are broadcast to one shape;
-    value and err_est come back as arrays of it, or as a complex and a
-    float when all three are scalars.  A member that misses raises
+    period_hint, start, first_boundary and lambda_max are broadcast to one
+    shape; value and err_est come back as arrays of it, or as a complex and
+    a float when all are scalars.  A member that misses raises
     TailNotNegligible carrying the values and error estimates in the same
     form.
     """
-    period, lo, first = np.broadcast_arrays(
+    trunc = spec.oscillatory_truncation
+    period, lo, first, lam_max = np.broadcast_arrays(
         np.asarray(period_hint, dtype=float),
         np.asarray(start, dtype=float),
         np.asarray(start if first_boundary is None else first_boundary, dtype=float),
+        np.asarray(trunc.lambda_max if lambda_max is None else lambda_max, dtype=float),
     )
     shape = period.shape
     if not (period > 0.0).all():
         raise InvalidParam(f"period_hint must be positive, got {period_hint}")
-    trunc = spec.oscillatory_truncation
-    lam_max = trunc.lambda_max
     tail_tol = trunc.tail_tol
     h = 0.5 * period.ravel()
     b_prev = lo.ravel().copy()
-    first = first.ravel()
+    first, lam_max = first.ravel(), lam_max.ravel()
     b_next = np.where(first > b_prev, first, b_prev + h)
     cell_abs_tol = max(spec.abs_tol / 16.0, 1e-15)
     n = h.size
@@ -393,7 +395,7 @@ def integrate_oscillatory_batch(
     cols: list[np.ndarray] = []
     run = np.flatnonzero(b_prev < lam_max)
     while run.size:
-        b_next[run] = np.minimum(b_next[run], lam_max)
+        b_next[run] = np.minimum(b_next[run], lam_max[run])
         # the engine's best estimate of each cell, whether or not it met
         # its tolerance: the convergence tests below judge the cell sums
         cell, cell_err, _ = quad(
@@ -443,7 +445,7 @@ def integrate_oscillatory_batch(
         run = run[~done]
         b_prev[run] = b_next[run]
         b_next[run] += h[run]
-        run = run[b_prev[run] < lam_max]
+        run = run[b_prev[run] < lam_max[run]]
     # lambda_max reached: the accelerated estimate if there is one; a tail
     # verified small is charged to the error estimate
     cut = b_prev >= lam_max
@@ -459,7 +461,7 @@ def integrate_oscillatory_batch(
         more = int(missed.sum()) - 1
         raise TailNotNegligible(
             f"cell sums still {last[i]:.3e} > tail_tol {tail_tol:.3e} "
-            f"at lambda_max={lam_max}"
+            f"at lambda_max={lam_max[i]}"
             + (f", and {more} more of {n}" if more else ""),
             value=res.value,
             err_est=res.err_est,

@@ -41,6 +41,9 @@ _SERIES_CUT = 0.95
 # arguments per block of a series evaluation: a block is summed to the
 # length its largest |z| needs
 _SERIES_BLOCK = 256
+# a Gauss series whose largest term exceeds its sum by more than this has
+# lost more than 7 of its 16 digits to cancellation (tier-1 peaks at 7e4)
+_CANCEL_MAX = 1e7
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +186,15 @@ def _tail_bound(coef: np.ndarray) -> list[float]:
 
 @lru_cache(maxsize=128)
 def _gauss_coeffs(a: complex, b: complex, c: complex) -> tuple[np.ndarray, ...]:
-    """(a)_k (b)_k / ((c)_k k!) for k < _SERIES_MAX_TERMS, their
-    magnitudes, and the log of their largest magnitude from k on."""
+    """(a)_k (b)_k / ((c)_k k!) for k < _SERIES_MAX_TERMS, their magnitudes,
+    their running maximum, and the log of their largest magnitude from k on."""
     k = _K[:-1]
     ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-    coef = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
-    return coef, np.abs(coef)[:, None], _tail_bound(coef)
+    # large |a b| (heavy kernel masses) overflow; _gauss_series refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
+    mag = np.abs(coef)
+    return coef, mag[:, None], np.maximum.accumulate(mag), _tail_bound(coef)
 
 
 def _blocked_series(rows: np.ndarray, bound: list[float], z: np.ndarray, accept):
@@ -223,12 +229,24 @@ def _series_block(rows, bound, zb, accept, idx) -> np.ndarray:
 
 def _gauss_series(a: complex, b: complex, c: complex, z: np.ndarray) -> np.ndarray:
     """Plain Gauss series sum_{k} (a)_k(b)_k/((c)_k k!) z^k for |z| < 1,
-    stopped where two consecutive terms are below 1e-16 of the sum."""
-    coef, mag, bound = _gauss_coeffs(a, b, c)
+    stopped where two consecutive terms are below 1e-16 of the sum;
+    DivergentSeries where the coefficients overflow, or where the largest
+    term exceeds the sum by more than _CANCEL_MAX."""
+    coef, mag, top, bound = _gauss_coeffs(a, b, c)
+    if not math.isfinite(bound[0]):
+        raise DivergentSeries(f"2F1({a}, {b}; {c}) series coefficients overflow")
 
     def accept(sums, p, idx, n):
-        last = mag[n - 2:n] * np.abs(p[-2:])
-        return sums[0] if (last <= _SERIES_EPS * np.abs(sums[0])).all() else None
+        s = np.abs(sums[0])
+        if not (mag[n - 2:n] * np.abs(p[-2:]) <= _SERIES_EPS * s).all():
+            return None
+        # |z| < 1, so no term of the n summed exceeds top[n - 1]: the terms
+        # themselves are looked at only where that bound allows the loss
+        if top[n - 1] > _CANCEL_MAX * s.min():
+            big = (mag[:n] * np.abs(p)).max(axis=0)
+            if not (big <= _CANCEL_MAX * s).all():
+                raise DivergentSeries(f"2F1 series cancels: terms up to {big.max():.3g}")
+        return sums[0]
 
     return _blocked_series(coef[None], bound, z, accept)
 

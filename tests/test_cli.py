@@ -108,6 +108,19 @@ class TestEval:
         assert row[5] == "NonFiniteIntegrand"
         assert math.isnan(float(row[2]))
 
+    def test_heavy_mass_flags_and_exits_two(self, capsys):
+        # the kernels' series cannot be summed at m = 300: a flagged row,
+        # no traceback and no overflow warning
+        code, out, err = run(
+            capsys, "eval", "--mass", "300", "--ell", "1", "--r", "0.5",
+            "--t", "1", "--jobs", "1",
+        )
+        assert code == 2
+        assert err == ""
+        row = out.splitlines()[1].split(",")
+        assert row[5] == "NonFiniteIntegrand"
+        assert math.isnan(float(row[2]))
+
     def test_unreachable_tolerance_flags_and_exits_two(self, capsys):
         code, out, err = run(
             capsys, "eval", "--ell", "1", "--r", "0.7", "--t", "2",
@@ -318,6 +331,17 @@ class TestKernels:
         assert code == 2
         flags = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
         assert flags == ["ok", "DomainError", "DomainError", "DomainError"]
+
+    @pytest.mark.parametrize("mass", ["100", "300"])
+    def test_heavy_mass_rows_flagged(self, capsys, mass):
+        # m = 100: the series cancels away its digits; m = 300: its
+        # coefficients overflow
+        code, out, err = run(capsys, "kernels", "--mass", mass, "--r", "0.5", "--t", "1")
+        assert code == 2
+        assert err == ""
+        row = out.splitlines()[1].split(",")
+        assert row[-1] == "DivergentSeries"
+        assert all(math.isnan(float(c)) for c in row[2:-1])
 
     def test_inadmissible_point_flags_and_exits_two(self, capsys):
         code, out, _ = run(capsys, "kernels", "--r", "0.0,0.9", "--t", "0.1")

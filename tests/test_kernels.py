@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dswave import (
+    DivergentSeries,
     DomainError,
     InvalidParam,
     PhysicalParams,
@@ -133,6 +134,14 @@ class TestKernelEval:
             kernel_eval(1.0, t, p)
         with pytest.raises(DomainError):
             kernel_eval_endpoint(2.0, t, p)
+
+    @pytest.mark.parametrize("m", [100.0, 300.0])
+    def test_heavy_mass_is_divergent_series(self, m):
+        # at m = 100 the Gauss series of the kernels cancels from terms of
+        # ~3e24 (the parent returned K0 = -2.5e10 + 9.3e10j against mpmath's
+        # 14.08); at m = 300 its coefficients overflow binary64
+        with pytest.raises(DivergentSeries):
+            kernel_eval(0.5, 1.0, PhysicalParams(H=1.0, m=m))
 
     def test_domain_errors(self):
         p = PhysicalParams(H=1.0, m=1.0)

@@ -13,6 +13,7 @@ from dswave import (
     DomainError,
     InvalidParam,
     ModeState,
+    ToleranceNotMet,
     UnsupportedEll,
     gaussian_profile,
     hankel_transform,
@@ -25,7 +26,7 @@ from dswave import (
     traveling_average,
     wave_block,
 )
-from dswave import DEFAULT_SPEC
+from dswave import DEFAULT_SPEC, minkowski
 from dswave.desitter import pionic_profile
 from dswave.minkowski import _hankel_block
 
@@ -123,6 +124,43 @@ class TestWaveBlock:
                     assert g == pytest.approx(one, rel=1e-14, abs=1e-300)
                 if weight == "sin":
                     assert got[0, 0] == 0.0
+
+    @pytest.mark.parametrize("prof,ell", [
+        (gaussian_profile(1), 1),
+        (gaussian_profile(2), 2),
+        (pionic_profile(2, 1, 1), 1),
+    ], ids=["gauss1", "gauss2", "pionic"])
+    def test_spectral_block_at_omega_r_closes_the_dc_component(self, prof, ell):
+        # omega = r gives an r - omega = 0 cos component, flat out to the
+        # ladder's cap and closed there with the power-law tail
+        for r in (0.7, 1.3):
+            got = _hankel_block(prof.hankel, ell, r, r, "cos", DEFAULT_SPEC)
+            assert got == pytest.approx(wave_block(prof, ell, r, r), rel=1e-9)
+
+    def test_tail_components_take_one_path(self, monkeypatch):
+        # frequency-0, near-DC and fast components together: the direct
+        # panels, then one batch of tail panels and one ladder
+        calls = []
+        for name in ("integrate_batch", "integrate_oscillatory_batch"):
+            def counted(*args, _f=getattr(minkowski, name), _n=name, **kwargs):
+                calls.append(_n)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(minkowski, name, counted)
+        ws = np.array([0.7, 0.7 + 1e-4, 1.3])
+        _hankel_block(gaussian_profile(1).hankel, 1, 0.7, ws, "cos", DEFAULT_SPEC)
+        assert calls == ["integrate_batch", "integrate_batch", "integrate_oscillatory_batch"]
+
+    def test_slow_dc_envelope_is_tolerance_not_met(self):
+        # the transform decays like lam^-1.5, so the cos-weighted envelope
+        # like lam^-1: no power-law closure holds at omega = r, while the
+        # oscillating components at omega = 0.9 still converge
+        def hat(lam):
+            return lam**1.5 / (1.0 + lam * lam) ** 1.5
+
+        with pytest.raises(ToleranceNotMet):
+            _hankel_block(hat, 1, 0.7, 0.7, "cos", DEFAULT_SPEC)
+        assert math.isfinite(abs(_hankel_block(hat, 1, 0.7, 0.9, "cos", DEFAULT_SPEC)))
 
     def test_profiles_take_arrays(self):
         xs = np.array([-0.4, 0.0, 0.7, 2.0])

@@ -234,3 +234,37 @@ class TestSemiInfiniteOscillatory:
             assert batch.value.value[i] == pytest.approx(one.value, rel=1e-15)
             assert batch.value.err_est[i] == pytest.approx(one.err_est, rel=1e-12)
         assert raised == [3]
+
+    def test_per_member_cap_equals_a_spec_cap(self):
+        # lambda_max given per member: each member comes out as a one-member
+        # ladder whose spec carries its cap, and only the slow one misses
+        fns = [
+            lambda x: np.cos(x) * np.exp(-x),
+            lambda x: (1.0 + np.cos(x)) / (1.0 + x) ** 1.2,
+            lambda x: np.sin(3.0 * x) * np.exp(-0.1 * x),
+        ]
+        periods = [2.0 * math.pi, 2.0 * math.pi, 2.0 * math.pi / 3.0]
+        caps = [50.0, 200.0, 1e9]
+
+        def f(x, k):
+            k = np.broadcast_to(k, x.shape)
+            out = np.zeros(x.shape)
+            for i, fn in enumerate(fns):
+                out[k == i] = fn(x[k == i])
+            return out
+
+        spec = QuadratureSpec(oscillatory_truncation=OscillatoryTruncation(tail_tol=1e-12))
+        with pytest.raises(TailNotNegligible) as batch:
+            integrate_oscillatory_batch(f, periods, spec, lambda_max=caps)
+        assert "lambda_max=200.0" in str(batch.value)
+        for i, fn in enumerate(fns):
+            trunc = OscillatoryTruncation(lambda_max=caps[i], tail_tol=1e-12)
+            try:
+                one = integrate_semi_infinite_oscillatory(
+                    fn, periods[i], QuadratureSpec(oscillatory_truncation=trunc)
+                )
+            except TailNotNegligible as exc:
+                assert i == 1
+                one = exc
+            assert batch.value.value[i] == pytest.approx(one.value, rel=1e-15)
+            assert batch.value.err_est[i] == pytest.approx(one.err_est, rel=1e-12)
