@@ -18,6 +18,7 @@ failure, 3 tolerance failure in compare/decay.
 from __future__ import annotations
 
 import argparse
+import cmath
 import copy
 import json
 import math
@@ -744,28 +745,39 @@ def cmd_kernels(cfg: dict[str, Any]) -> int:
     rs, ts = cfg["grid"]["r"], cfg["grid"]["t"]
     huy = params.is_huygensian
     rows: list[list[Any]] = []
-    failed = False
+    nan = math.nan
     for r in rs:
         for t in ts:
+            flag = "ok"
             try:
                 ev = kernel_eval(r, t, params)
                 comb = 2.0 * ev.k0 + params.n * params.H * ev.k1
+                if not cmath.isfinite(comb):
+                    raise DomainError(f"2 K0 + n H K1 at r={r}, t={t} exceeds the binary64 range")
                 row = [
                     r, t,
                     ev.k0.real, ev.k0.imag,
                     ev.k1.real, ev.k1.imag,
                     comb.real, comb.imag,
                 ]
-                flag = "ok"
             except (DomainError, DivergentSeries, QuadratureFailure) as exc:
-                nan = math.nan
                 row = [r, t, nan, nan, nan, nan, nan, nan]
                 flag = type(exc).__name__
-                failed = True
+            except ArithmeticError:
+                row = [r, t, nan, nan, nan, nan, nan, nan]
+                flag = DomainError.__name__
             if huy:
-                row += [huygens_k0(t, params.H), huygens_k1(t, params.H)]
+                # the closed forms stay where they are finite, even in a
+                # row whose hypergeometric kernels failed
+                try:
+                    row += [huygens_k0(t, params.H), huygens_k1(t, params.H)]
+                except DomainError as exc:
+                    row += [nan, nan]
+                    if flag == "ok":
+                        flag = type(exc).__name__
             row.append(flag)
             rows.append(row)
+    failed = any(row[-1] != "ok" for row in rows)
     header = ["r", "t", "k0_re", "k0_im", "k1_re", "k1_im", "comb_re", "comb_im"]
     if huy:
         header += ["huygens_k0", "huygens_k1"]
@@ -878,17 +890,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(cfg)
+        # numpy arithmetic beyond the binary64 range raises: it ends as a
+        # flagged row or a numerical failure, not as a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(cfg)
     except BrokenPipeError:
         # the reader closed stdout early (`| head`); what it read was
         # written.  Point stdout at devnull so the flush at exit cannot
         # raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except ConfigError as exc:
+    except (ConfigError, InvalidParam) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureFailure, DegenerateFit, InstabilityDetected) as exc:
+    except (
+        QuadratureFailure, DegenerateFit, InstabilityDetected, DomainError, ArithmeticError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,9 @@ sampled magnitudes).
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ from .kernels import PhysicalParams, phi_of_t
 from .minkowski import (
     ModeState,
     RadialProfile,
+    _check_mode,
     _hankel_block,
     _profile_transform,
     scaled_profile,
@@ -87,8 +89,8 @@ class FieldGrid:
 
     values has shape (len(r_values), len(t_values)); err_flags mirrors it
     with "ok" or the exception class name of a tolerated failure.  Entries
-    flagged "ok" must be finite; the evaluators store nan at every flagged
-    entry.
+    flagged "ok" must be finite; the evaluators store nan in both parts of
+    every flagged entry.
     """
 
     r_values: tuple[float, ...]
@@ -163,13 +165,6 @@ class DecayReport:
 
 # ---------------------------------------------------------------------------
 # Assembly
-
-
-def _check_mode(mode: ModeState) -> None:
-    if mode.f0.mu <= mode.ell - 1.5:
-        raise InvalidParam(
-            f"small-r exponent mu={mode.f0.mu} too weak for ell={mode.ell}"
-        )
 
 
 def _check_point(
@@ -270,10 +265,7 @@ def _ita_integrals(
     direct = lambda s: combine(_kernels(kernels.kernel_eval, s, t, params), s)
     # the blocks kink where the integration time crosses the radius
     s_end = pt if q >= 0.05 else 0.7 / h
-    inner = spec
-    if 0.0 < r < s_end:
-        inner = replace(spec, singularity_split_points=(r,))
-    total = integrate_finite(direct, 0.0, s_end, inner).value
+    total = integrate_finite(direct, 0.0, s_end, spec, points=(r,)).value
     if q < 0.05:
         # late time: the kernels grow like D^{M/H - 5/2} with D ~ 4 q near
         # the upper endpoint; substitute H s = 1 - xi q on [0.7/H, phi(t)],
@@ -393,17 +385,14 @@ def field_riemann_huygens(
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
     v = wave_block(mode.f0, mode.ell, r, pt, spec)
     if pt > 0.0:
-        inner = spec
-        if r < pt:
-            inner = replace(spec, singularity_split_points=(r,))
-
         def integrand(s: np.ndarray) -> np.ndarray:
             out = h * wave_block(mode.f0, mode.ell, r, s, spec)
             if mode.f1 is not None:
                 out += wave_block(mode.f1, mode.ell, r, s, spec)
             return out
 
-        v += integrate_finite(integrand, 0.0, pt, inner).value
+        # the blocks kink where the integration time crosses the radius
+        v += integrate_finite(integrand, 0.0, pt, spec, points=(r,)).value
     return y * math.exp(-h * t) * v
 
 
@@ -459,6 +448,8 @@ def field_hankel_huygens(
     return y * math.exp(-h * t) * v
 
 
+_FLAGGED = complex(math.nan, math.nan)
+
 _METHODS: dict[str, Callable[..., complex]] = {
     "riemann": field_riemann,
     "hankel": field_hankel,
@@ -478,13 +469,20 @@ def _evaluate_point(
     spec: QuadratureSpec,
 ) -> tuple[complex, str]:
     """One point of a grid and its err_flag.  A tolerated quadrature
-    failure is flagged with its class name and gives nan: the estimate an
-    exception carries belongs to the integral that missed, not to the
-    field."""
+    failure is flagged with its class name and gives nan in both parts: the
+    estimate an exception carries belongs to the integral that missed, not
+    to the field.  Arithmetic that leaves the binary64 range on the way, and
+    a value beyond it, are flagged DomainError."""
     try:
-        return complex(fn(mode, params, r, t, theta, phi, spec)), "ok"
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = complex(fn(mode, params, r, t, theta, phi, spec))
     except QuadratureFailure as exc:
-        return complex(math.nan), type(exc).__name__
+        return _FLAGGED, type(exc).__name__
+    except ArithmeticError:
+        value = _FLAGGED
+    if cmath.isfinite(value):
+        return value, "ok"
+    return _FLAGGED, DomainError.__name__
 
 
 def evaluate_grid(
@@ -710,6 +708,13 @@ def decay_fit(
         raise InvalidParam("need at least 4 samples")
     if not 0.0 <= discard_fraction < 0.9:
         raise InvalidParam(f"bad discard_fraction {discard_fraction}")
+    # the parameters are classified before any sample is paid for
+    if params is not None:
+        base = decay_classify(params)
+        regime = base.regime
+        pred_e, pred_p = base.predicted_exponent, base.predicted_poly_power
+    else:
+        regime, pred_e, pred_p = "synthetic", math.nan, math.nan
     ts = np.linspace(ta, tb, n_samples)
     mags = np.array([abs(complex(sampler(float(t)))) for t in ts])
     good = mags > 1e-290
@@ -734,12 +739,6 @@ def decay_fit(
     if rank < design.shape[1]:
         raise DegenerateFit("rank-deficient fit design")
     rms = float(np.sqrt(np.mean((design @ sol - lv) ** 2)))
-    if params is not None:
-        base = decay_classify(params)
-        regime = base.regime
-        pred_e, pred_p = base.predicted_exponent, base.predicted_poly_power
-    else:
-        regime, pred_e, pred_p = "synthetic", math.nan, math.nan
     return DecayReport(
         regime=regime,
         predicted_exponent=pred_e,

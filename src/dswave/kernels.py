@@ -32,9 +32,6 @@ __all__ = [
     "phi_of_t",
     "kernel_eval",
     "kernel_eval_endpoint",
-    "kernel_k0",
-    "kernel_k1",
-    "kernel_combination",
     "huygens_k0",
     "huygens_k1",
 ]
@@ -60,12 +57,16 @@ class PhysicalParams:
     n: int = 3
 
     def __post_init__(self) -> None:
-        if not (self.H >= 0.0):
-            raise InvalidParam(f"H must be >= 0, got {self.H}")
-        if not (self.m >= 0.0):
-            raise InvalidParam(f"m must be >= 0, got {self.m}")
+        if not 0.0 <= self.H < math.inf:
+            raise InvalidParam(f"H must be finite and >= 0, got {self.H}")
+        if not 0.0 <= self.m < math.inf:
+            raise InvalidParam(f"m must be finite and >= 0, got {self.m}")
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidParam(f"n must be a positive integer, got {self.n}")
+        try:
+            self.M
+        except OverflowError:
+            raise InvalidParam(f"M leaves the binary64 range at H={self.H}, m={self.m}") from None
 
     @cached_property
     def M(self) -> complex:
@@ -81,14 +82,10 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class KernelEval:
-    """Both kernels at one point, with the hypergeometric argument kept
-    for diagnostics; arrays of them when evaluated on arrays."""
+    """Both kernels at one point; arrays of them when evaluated on arrays."""
 
-    r: float
-    t: float
     k0: complex
     k1: complex
-    z_arg: float
 
 
 def phi_of_t(t: float, H: float) -> float:
@@ -200,11 +197,7 @@ def _assemble(
     if not _all(finite):
         rr, tt = _first(~finite, r, t)
         raise DomainError(f"kernels at r={rr}, t={tt} exceed the binary64 range")
-    if r.ndim == 0:
-        return KernelEval(
-            r=float(r), t=float(t), k0=complex(k0), k1=complex(k1), z_arg=float(z)
-        )
-    return KernelEval(r=r, t=t, k0=k0, k1=k1, z_arg=z)
+    return KernelEval(complex(k0), complex(k1)) if r.ndim == 0 else KernelEval(k0, k1)
 
 
 def kernel_eval_endpoint(xi, t, params: PhysicalParams) -> KernelEval:
@@ -239,26 +232,22 @@ def kernel_eval_endpoint(xi, t, params: PhysicalParams) -> KernelEval:
     return _assemble(params, hs / H, ts, q, hs * hs, d_over_q, ln_d, z, one_minus)
 
 
-def kernel_k0(r, t, params: PhysicalParams):
-    return kernel_eval(r, t, params).k0
-
-
-def kernel_k1(r, t, params: PhysicalParams):
-    return kernel_eval(r, t, params).k1
-
-
-def kernel_combination(r, t, params: PhysicalParams):
-    """2 K0 + n H K1, the weight multiplying the data block in the
-    field representation."""
-    ke = kernel_eval(r, t, params)
-    return 2.0 * ke.k0 + params.n * params.H * ke.k1
+def _growth(coef: float, t: float, H: float) -> float:
+    """coef e^{H t / 2}; DomainError where it leaves the binary64 range."""
+    try:
+        v = coef * math.exp(0.5 * H * t)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"closed-form kernel at t={t} exceeds the binary64 range")
+    return v
 
 
 def huygens_k1(t: float, H: float) -> float:
     """Closed form of K1 on the collapsing mass: e^{H t / 2} / 2."""
-    return 0.5 * math.exp(0.5 * H * t)
+    return _growth(0.5, t, H)
 
 
 def huygens_k0(t: float, H: float) -> float:
     """Closed form of K0 on the collapsing mass: -(H/4) e^{H t / 2}."""
-    return -0.25 * H * math.exp(0.5 * H * t)
+    return _growth(-0.25 * H, t, H)

@@ -158,7 +158,10 @@ def gaussian_profile(
 
     hat = None
     if p == ell:
-        scale = amplitude / (2.0 * sigma) ** (ell + 1.5)
+        try:
+            scale = amplitude / (2.0 * sigma) ** (ell + 1.5)
+        except ArithmeticError:
+            raise InvalidParam(f"sigma={sigma} leaves the binary64 range") from None
 
         def hat(lam, _c=scale, _s=sigma, _e=ell):
             return _c * lam ** (_e + 0.5) * np.exp(-lam * lam / (4.0 * _s))
@@ -233,9 +236,10 @@ def _tail_coeffs(ell: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def traveling_average(profile: RadialProfile, r: float, t: float) -> complex:
-    """d'Alembert average [(r-t) F(r-t) + (r+t) F(r+t)] / (2 r); the
-    remaining part of the wave solution is the mode's tail."""
+def traveling_average(profile: RadialProfile, r: float, t):
+    """d'Alembert average [(r-t) F(r-t) + (r+t) F(r+t)] / (2 r), for a
+    time t or an array of them; the remaining part of the wave solution is
+    the mode's tail."""
     if r <= 0.0:
         raise DomainError(f"traveling_average requires r > 0, got {r}")
     return (profile.r_f(r - t) + profile.r_f(r + t)) / (2.0 * r)
@@ -266,7 +270,7 @@ def wave_block(
     if not (ts >= 0.0).all():
         raise DomainError(f"wave_block requires t >= 0, got {t}")
     flat = ts.ravel()
-    out = (profile.r_f(r - flat) + profile.r_f(r + flat)) / (2.0 * r)
+    out = traveling_average(profile, r, flat)
     run = np.flatnonzero(flat > 0.0) if ell > 0 else np.empty(0, dtype=int)
     if run.size:
         coeffs = _tail_coeffs(ell)
@@ -283,6 +287,15 @@ def wave_block(
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
+def _check_mode(mode: ModeState) -> None:
+    # the tail integrals near s = 0 converge only for mu > ell - 3/2
+    if mode.f0.mu <= mode.ell - 1.5:
+        raise InvalidParam(
+            f"small-r exponent mu={mode.f0.mu} too weak for ell={mode.ell} "
+            "(needs mu > ell - 3/2)"
+        )
+
+
 def solve_riemann(
     mode: ModeState,
     r: float,
@@ -292,11 +305,7 @@ def solve_riemann(
     """Radial factor at (r, t): f0 block plus the time-integrated f1 block."""
     if r <= 0.0:
         raise DomainError(f"solve_riemann requires r > 0, got {r}")
-    if mode.f0.mu <= mode.ell - 1.5:
-        raise InvalidParam(
-            f"small-r exponent mu={mode.f0.mu} too weak for ell={mode.ell} "
-            "(needs mu > ell - 3/2)"
-        )
+    _check_mode(mode)
     v = wave_block(mode.f0, mode.ell, r, t, spec)
     if mode.f1 is not None and t > 0.0:
         v += _velocity_block(mode.f1, mode.ell, r, t, spec)
@@ -308,8 +317,8 @@ def _velocity_block(
 ) -> complex:
     """Radial wave solution at (r, t) for data (0, f1): the f1 wave block
     integrated over [0, t], with a break where the block kinks, at r."""
-    outer = replace(spec, singularity_split_points=(r,))
-    return integrate_finite(lambda tau: wave_block(f1, ell, r, tau, spec), 0.0, t, outer).value
+    block = lambda tau: wave_block(f1, ell, r, tau, spec)
+    return integrate_finite(block, 0.0, t, spec, points=(r,)).value
 
 
 def solve_recursive(
@@ -336,7 +345,7 @@ def solve_recursive(
         raise DomainError(f"solve_recursive requires t >= 0, got {t}")
     f0 = mode.f0
     ell = mode.ell
-    lead = (f0.r_f(r - t) + f0.r_f(r + t)) / (2.0 * r)
+    lead = traveling_average(f0, r, t)
     if ell == 0 or t == 0.0:
         return lead
     lo, hi = abs(r - t), r + t
@@ -584,7 +593,7 @@ def _hankel_block(
         direct,
         lo,
         hi,
-        replace(spec, singularity_split_points=()),
+        spec,
         abs_tol=spec.abs_tol / (2.0 * n_pan[owner]),
     ).value
     total = np.bincount(owner, pan.real, w.size) + 1j * np.bincount(owner, pan.imag, w.size)
@@ -670,9 +679,7 @@ def minkowski_kg(
     if t == 0.0:
         return u
     # kink of the blocks at tau = r maps to h = asin(r/t)
-    outer = spec
-    if r < t:
-        outer = replace(spec, singularity_split_points=(math.asin(r / t),))
+    kink = (math.asin(r / t),) if r < t else ()
     from scipy.special import j0 as _bessel_j0
     from scipy.special import j1 as _bessel_j1
 
@@ -682,7 +689,8 @@ def minkowski_kg(
             * wave_block(mode.f0, mode.ell, r, t * np.sin(h), spec),
             0.0,
             0.5 * math.pi,
-            outer,
+            spec,
+            points=kink,
         ).value
     if mode.f1 is not None:
         if m0 > 0.0:
@@ -692,7 +700,8 @@ def minkowski_kg(
                 * wave_block(mode.f1, mode.ell, r, t * np.sin(h), spec),
                 0.0,
                 0.5 * math.pi,
-                outer,
+                spec,
+                points=kink,
             ).value
         else:
             u += _velocity_block(mode.f1, mode.ell, r, t, spec)

@@ -64,7 +64,6 @@ class QuadratureSpec:
     oscillatory_truncation: OscillatoryTruncation = field(
         default_factory=OscillatoryTruncation
     )
-    singularity_split_points: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -236,17 +235,19 @@ def integrate_finite(
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
+    *,
+    points: tuple[float, ...] = (),
 ) -> IntegralResult:
     """Adaptive integral of an array integrand f over [a, b].
 
-    Singularity locations listed in spec.singularity_split_points that fall
-    inside (a, b) are mandatory break points.  Raises ToleranceNotMet
+    The points that fall inside (a, b), such as the caller's integrable
+    singularities, are mandatory break points.  Raises ToleranceNotMet
     (carrying the best estimate) when the error estimate still exceeds
     max(abs_tol, rel_tol*|value|) where refinement ends (max_subdivisions
     intervals, or no progress), and NonFiniteIntegrand if f returns nan/inf
     inside the range.
     """
-    return integrate_batch(lambda x, k: f(x), float(a), float(b), spec)
+    return integrate_batch(lambda x, k: f(x), float(a), float(b), spec, points=points)
 
 
 def integrate_batch(
@@ -256,6 +257,7 @@ def integrate_batch(
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
     abs_tol=None,
+    points: tuple[float, ...] = (),
 ) -> IntegralResult:
     """The independent integrals int_{a_i}^{b_i} f(x, i) dx in one pass.
 
@@ -263,7 +265,8 @@ def integrate_batch(
     arrays of it, or as a complex and a float when both limits are scalars.
     Each integral is held to the tolerance integrate_finite would hold it
     to, with abs_tol, when given, in place of spec.abs_tol (one per
-    integral, broadcast against the limits).  A miss on any of them raises
+    integral, broadcast against the limits), and is cut at the points that
+    fall inside its interval.  A miss on any of them raises
     ToleranceNotMet carrying the values and error estimates in the same
     form.
     """
@@ -291,7 +294,7 @@ def integrate_batch(
             atol[idx],
             spec.rel_tol,
             spec.max_subdivisions,
-            spec.singularity_split_points,
+            points,
         )
     if shape:
         out = IntegralResult(value.reshape(shape), err.reshape(shape))

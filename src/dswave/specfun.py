@@ -1,7 +1,7 @@
 """Special-function substrate: Gauss hypergeometric 2F1 with complex
 parameters and real argument, half-integer Bessel J, associated Laguerre
-polynomials, spherical harmonics, and the upper incomplete gamma function,
-on a native complex gamma and digamma.
+polynomials and spherical harmonics, on a native complex gamma and
+digamma.
 
 Everything here is pure 64-bit floating point with numpy alone; its
 constants and the extended-precision reference values used by the test
@@ -26,7 +26,6 @@ __all__ = [
     "bessel_trig_split",
     "assoc_laguerre",
     "spherical_harmonic",
-    "upper_incomplete_gamma",
 ]
 
 # Nonpositive-integer detection: ell arrives exact, so the polynomial branch
@@ -124,19 +123,17 @@ def _digamma(z: np.ndarray) -> np.ndarray:
     return acc + np.log(w) - 0.5 / w - u * polyval_ascending(_PSI_ASYMPT, u)
 
 
-def _nonpositive_int(w: complex, tol: float = _INT_TOL) -> int | None:
-    """Return k if w is within tol of a nonpositive integer k, else None."""
-    k = round(w.real)
-    if k <= 0 and abs(w.real - k) <= tol and abs(w.imag) <= tol:
-        return k
-    return None
-
-
 def _near_int(w: complex, tol: float) -> int | None:
+    """Return k if w is within tol of the integer k, else None."""
     k = round(w.real)
     if abs(w.real - k) <= tol and abs(w.imag) <= tol:
         return k
     return None
+
+
+def _nonpositive_int(w: complex, tol: float = _INT_TOL) -> int | None:
+    k = _near_int(w, tol)
+    return k if k is not None and k <= 0 else None
 
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
@@ -189,9 +186,9 @@ def _gauss_coeffs(a: complex, b: complex, c: complex) -> tuple[np.ndarray, ...]:
     """(a)_k (b)_k / ((c)_k k!) for k < _SERIES_MAX_TERMS, their magnitudes,
     their running maximum, and the log of their largest magnitude from k on."""
     k = _K[:-1]
-    ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0))
     # large |a b| (heavy kernel masses) overflow; _gauss_series refuses them
     with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (a + k) * (b + k) / ((c + k) * (k + 1.0))
         coef = np.concatenate([[1.0 + 0.0j], np.cumprod(ratios)])
     mag = np.abs(coef)
     return coef, mag[:, None], np.maximum.accumulate(mag), _tail_bound(coef)
@@ -563,7 +560,7 @@ def polyval_ascending(coeffs: tuple[float, ...], u):
 
 
 # ---------------------------------------------------------------------------
-# Laguerre, spherical harmonics, incomplete gamma
+# Laguerre polynomials and spherical harmonics
 
 
 def assoc_laguerre(k: int, alpha: float, x):
@@ -627,149 +624,3 @@ def spherical_harmonic(ell: int, m: int, theta: float, phi: float) -> complex:
     if m < 0:
         y = ((-1) ** mm) * y.conjugate()
     return y
-
-
-_GAMMA_EPS = 1e-15
-_GAMMA_MAX_ITER = 500
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # modified Lentz continued fraction; good for x > a+1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return math.exp(-x + a * math.log(x)) * h
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    # gamma(a,x) series, a > 0, x <= a+1
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_GAMMA_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x))
-
-
-_EULER_GAMMA = 0.5772156649015328606
-# (-1)^k (zeta(k) - 1) / k, k = 2..40: coefficients of the series
-# ln Gamma(1+a) = -ln(1+a) + (1-euler) a + sum_k c_k a^k (DLMF 5.7.3, |a| < 2);
-# at |a| <= 1/2 the last term kept is below 1e-24.  Printed by
-# tools/gen_oracle_values.py.
-_LNGAMMA1P_COEFFS = (
-    0.3224670334241132, -0.0673523010531981, 0.020580808427784546,
-    -0.007385551028673986, 0.0028905103307415234, -0.001192753911703261,
-    0.0005096695247430425, -0.00022315475845357939, 9.945751278180853e-05,
-    -4.492623673813314e-05, 2.050721277567069e-05, -9.439488275268397e-06,
-    4.374866789907488e-06, -2.039215753801366e-06, 9.55141213040742e-07,
-    -4.492469198764566e-07, 2.1207184805554665e-07, -1.0043224823968099e-07,
-    4.7698101693639804e-08, -2.2711094608943164e-08, 1.0838659214896955e-08,
-    -5.183475041970047e-09, 2.4836745438024785e-09, -1.1921401405860912e-09,
-    5.731367241678862e-10, -2.7595228851242334e-10, 1.330476437424449e-10,
-    -6.4229645638381e-11, 3.1044247747322276e-11, -1.5021384080754142e-11,
-    7.275974480239079e-12, -3.527742476575915e-12, 1.711991790559618e-12,
-    -8.315385841420285e-13, 4.04220052528944e-13, -1.9664756310966165e-13,
-    9.573630387838556e-14, -4.6640760264283744e-14, 2.2737369600659724e-14,
-)
-# Region of the small-|a| expansion: |a| <= 1/2 and x <= 3/2.
-_SMALL_A = 0.5
-_SMALL_A_XMAX = 1.5
-# x <= 1 with -20 <= a < -1/2 is lifted into that region; below a = -20 the
-# continued fraction is as accurate as the lift (within 7e-14 of mpmath on
-# a in [-40, -8], x in [1e-6, 1])
-_LIFT_MIN_A = -20.0
-
-
-def _ratio(f, y: float) -> float:
-    # f(y)/y for f in (log1p, expm1), with its limit 1 at y = 0
-    return f(y) / y if y != 0.0 else 1.0
-
-
-def _upper_gamma_small_a(a: float, x: float) -> float:
-    # Gamma(a,x) = (Gamma(1+a)-1)/a - (x^a-1)/a + x^a sum_{k>=1} (-1)^{k+1} x^k/(k!(a+k))
-    # (DLMF 8.7.3 with Gamma(a) = Gamma(1+a)/a), whose first two pieces come
-    # from ln Gamma(1+a)/a and from ln x through expm1.  Each piece has a
-    # finite limit at a = 0, where this is the exponential-integral series.
-    poly = 0.0
-    for c in reversed(_LNGAMMA1P_COEFFS):
-        poly = poly * a + c
-    lgam_over_a = 1.0 - _EULER_GAMMA - _ratio(math.log1p, a) + a * poly
-    gamma1p_m1_over_a = lgam_over_a * _ratio(math.expm1, a * lgam_over_a)
-    lnx = math.log(x)
-    xa_m1_over_a = lnx * _ratio(math.expm1, a * lnx)
-    s = 0.0
-    term = -1.0
-    for k in range(1, _GAMMA_MAX_ITER):
-        term *= -x / k
-        s += term / (a + k)
-        if abs(term) < _GAMMA_EPS * abs(s):
-            break
-    return gamma1p_m1_over_a - xa_m1_over_a + math.exp(a * lnx) * s
-
-
-def _upper_gamma(a: float, x: float) -> float:
-    if _LIFT_MIN_A <= a < -_SMALL_A and x <= 1.0:
-        # Gamma(b, x) = (Gamma(b+1, x) - x^b e^{-x}) / b, from the small-|a|
-        # region back down to b = a
-        steps = []
-        while a < -_SMALL_A:
-            steps.append(a)
-            a += 1.0
-        g = _upper_gamma_small_a(a, x)
-        for b in reversed(steps):
-            g = (g - math.exp(-x + b * math.log(x))) / b
-        return g
-    if abs(a) <= _SMALL_A and x <= _SMALL_A_XMAX:
-        return _upper_gamma_small_a(a, x)
-    if x > a + 1.0:
-        return _upper_gamma_cf(a, x)
-    return math.gamma(a) - _lower_gamma_series(a, x)
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Upper incomplete gamma function Gamma(a, x).
-
-    Domain: every real a and every x > 0.  Non-finite arguments, x <= 0,
-    and points where Gamma(a, x) itself overflows binary64 (large |a|)
-    raise DomainError.
-
-    |a| <= 1/2 with x <= 3/2: the small-|a| expansion
-    (Gamma(1+a)-1)/a - (x^a-1)/a + x^a sum_k (-1)^{k+1} x^k / (k! (a+k)),
-    whose pieces stay finite as a -> 0 (subnormal a included; at a = 0 it
-    is the exponential-integral series), so Gamma(a) and the lower function
-    never cancel.  -20 <= a < -1/2 with x <= 1: lifted into that region
-    through the recurrence Gamma(a,x) = (Gamma(a+1,x) - x^a e^{-x}) / a, at
-    most 20 steps (the continued fraction is off by 8e-6 at a = -2 + 1e-6,
-    x = 1e-6).  Elsewhere: continued fraction for x > a+1 (every a < -20),
-    and Gamma(a) minus the lower-function series otherwise (a > 1/2).
-    """
-    if not (x > 0.0 and math.isfinite(x) and math.isfinite(a)):
-        raise DomainError(
-            f"upper_incomplete_gamma requires finite a and x > 0, got a={a}, x={x}"
-        )
-    try:
-        return _upper_gamma(a, x)
-    except OverflowError:
-        raise DomainError(
-            f"upper_incomplete_gamma({a}, {x}) exceeds the binary64 range"
-        ) from None

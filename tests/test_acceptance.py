@@ -13,6 +13,7 @@ import time
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from dswave import (
     FDConfig,
@@ -248,6 +249,21 @@ def test_criterion_06_minkowski_tail_decay():
         ok,
         "; ".join(parts) + f", {elapsed:.1f}s (< 2 min)",
     )
+
+
+@pytest.mark.parametrize("n,ell", [(2, 1), (3, 2)])
+def test_minkowski_tail_true_envelope(n, ell):
+    # gate 6's bands against the envelope the tail attains,
+    # t^(n + mu - ell - 1/2), on a window past the transient that makes
+    # gate 6 fail at ell = 2 (README, "Tests"); gate 6 itself stays as it is
+    prof = pionic_profile(n, ell, 1)
+
+    def sampler(t: float) -> complex:
+        return wave_block(prof, ell, 1.0, t) - traveling_average(prof, 1.0, t)
+
+    rep = decay_fit(sampler, (100.0, 300.0), 21, fit_poly_power=True)
+    assert abs(rep.fitted_exponent + 0.5) <= 0.05
+    assert abs(rep.fitted_poly_power - (n + prof.mu - ell - 0.5)) <= 0.5
 
 
 def test_criterion_07_decay_regimes():

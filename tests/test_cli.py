@@ -1,6 +1,8 @@
 """Command-line front end tests: output contracts, exit codes, and
 determinism across parallelism degrees."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dswave
 from dswave import (
@@ -119,7 +123,18 @@ class TestEval:
         assert err == ""
         row = out.splitlines()[1].split(",")
         assert row[5] == "NonFiniteIntegrand"
-        assert math.isnan(float(row[2]))
+        assert math.isnan(float(row[2])) and math.isnan(float(row[3]))
+
+    def test_heavy_mass_flagged_value_is_null_in_json(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--mass", "300", "--ell", "1", "--r", "0.5",
+            "--t", "1", "--jobs", "1", "--format", "json",
+        )
+        assert code == 2
+        assert err == ""
+        row = json.loads(out)["rows"][0]
+        assert row["err_flag"] == "NonFiniteIntegrand"
+        assert row["re"] is None and row["im"] is None
 
     def test_unreachable_tolerance_flags_and_exits_two(self, capsys):
         code, out, err = run(
@@ -350,6 +365,69 @@ class TestKernels:
         assert lines[1].endswith(",ok")
         assert lines[2].endswith(",DomainError")
         assert "nan" in lines[2]
+
+
+# finite extremes of every numeric flag, and ordinary values between them
+_EXTREME = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e-8, 0.5, 1.0, SQRT2, 2.0, 1e8, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestExtremeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["kernels", "--t", "1e300", "--r", "0.5"],
+        ["eval", "--amplitude", "1e308", "--r", "0.5", "--t", "1", "--jobs", "1"],
+    ])
+    def test_out_of_range_point_is_a_flagged_row(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == ""
+        row = out.splitlines()[1].split(",")
+        assert row[-1] == "DomainError"
+        assert all(math.isnan(float(c)) for c in row[2:-2 if argv[0] == "eval" else -1])
+
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--n-dim", "2"],
+        ["eval", "--mass", "1e300", "--r", "0.5", "--t", "1", "--jobs", "1"],
+        ["kernels", "--mass", "1e300", "--r", "0.5", "--t", "1"],
+        ["decay", "--t-window", "30,10"],
+    ])
+    def test_unusable_setting_is_a_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @given(
+        command=st.sampled_from(["kernels", "eval", "decay"]),
+        H=_EXTREME, mass=_EXTREME, r=_EXTREME, t=_EXTREME, t2=_EXTREME,
+        amplitude=_EXTREME, sigma=_EXTREME,
+        n_dim=st.integers(1, 4), ell=st.integers(0, 2),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_no_input_ends_in_a_traceback(
+        self, command, H, mass, r, t, t2, amplitude, sigma, n_dim, ell
+    ):
+        argv = [
+            command, f"--H={H!r}", f"--mass={mass!r}", f"--n-dim={n_dim}",
+            f"--ell={ell}", f"--amplitude={amplitude!r}", f"--sigma={sigma!r}",
+        ]
+        if command == "decay":
+            argv += [f"--decay-r={r!r}", f"--t-window={t!r},{t2!r}", "--n-samples=4"]
+        else:
+            argv += [f"--r={r!r}", f"--t={t!r}"]
+        if command == "eval":
+            argv += ["--jobs=1", "--method=riemann"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        msg = err.getvalue()
+        # nothing on stderr but the one line that explains the exit code
+        assert msg == "" or (
+            msg.count("\n") == 1 and msg.startswith(("config error:", "numerical failure:"))
+        )
 
 
 class TestProcess:

@@ -16,10 +16,7 @@ from dswave import (
     PhysicalParams,
     huygens_k0,
     huygens_k1,
-    kernel_combination,
     kernel_eval,
-    kernel_k0,
-    kernel_k1,
     phi_of_t,
 )
 from dswave.kernels import kernel_eval_endpoint
@@ -102,16 +99,6 @@ class TestKernelEval:
             assert ev.k1 == pytest.approx(0.5, rel=1e-12)
             assert ev.k0 == pytest.approx(-0.25, rel=1e-12)
 
-    def test_wrappers_agree_with_eval(self):
-        p = PhysicalParams(H=1.0, m=1.8)
-        r, t = 0.3, 1.1
-        ev = kernel_eval(r, t, p)
-        assert kernel_k0(r, t, p) == ev.k0
-        assert kernel_k1(r, t, p) == ev.k1
-        assert kernel_combination(r, t, p) == pytest.approx(
-            2.0 * ev.k0 + 3.0 * p.H * ev.k1, rel=1e-15
-        )
-
     def test_arrays_match_scalar_calls(self):
         p = PhysicalParams(H=1.0, m=2.0)
         t = 2.4
@@ -122,8 +109,6 @@ class TestKernelEval:
             one = kernel_eval(float(r), t, p)
             assert k0 == pytest.approx(one.k0, rel=1e-13)
             assert k1 == pytest.approx(one.k1, rel=1e-13)
-        comb = kernel_combination(rs, t, p)
-        assert comb == pytest.approx(2.0 * ev.k0 + 3.0 * ev.k1, rel=1e-15)
 
     @pytest.mark.parametrize("t", [400.0, 746.0, 800.0])
     def test_beyond_binary64_is_domain_error(self, t):

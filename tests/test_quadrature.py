@@ -29,7 +29,6 @@ class TestSpecValidation:
 
     def test_defaults_are_usable(self):
         assert DEFAULT_SPEC.abs_tol > 0
-        assert DEFAULT_SPEC.singularity_split_points == ()
 
 
 class TestIntegrateFinite:
@@ -51,13 +50,11 @@ class TestIntegrateFinite:
         assert res.value == pytest.approx(2.0, rel=1e-9)
 
     def test_split_points_resolve_interior_kink(self):
-        spec = QuadratureSpec(singularity_split_points=(1.0,))
-        res = integrate_finite(lambda x: abs(x - 1.0), 0.0, 2.0, spec)
+        res = integrate_finite(lambda x: abs(x - 1.0), 0.0, 2.0, points=(1.0,))
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_split_points_outside_range_ignored(self):
-        spec = QuadratureSpec(singularity_split_points=(17.0, -3.0))
-        res = integrate_finite(lambda x: x, 0.0, 1.0, spec)
+        res = integrate_finite(lambda x: x, 0.0, 1.0, points=(17.0, -3.0))
         assert res.value == pytest.approx(0.5, rel=1e-13)
 
     def test_tolerance_failure_carries_best_estimate(self):
@@ -117,9 +114,8 @@ class TestIntegrateBatch:
         assert res.err_est[1, 1] == 0.0
 
     def test_split_points_apply_to_every_integral(self):
-        spec = QuadratureSpec(singularity_split_points=(1.0,))
         lo = np.array([0.0, 0.5, 1.5])
-        res = integrate_batch(lambda x, k: np.abs(x - 1.0), lo, 2.0, spec)
+        res = integrate_batch(lambda x, k: np.abs(x - 1.0), lo, 2.0, points=(1.0,))
         want = [1.0, 0.625, 0.375]
         assert res.value.real == pytest.approx(want, rel=1e-13)
 

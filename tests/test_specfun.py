@@ -8,7 +8,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dswave import specfun
@@ -20,7 +20,6 @@ from dswave import (
     bessel_j_half,
     hyp2f1,
     spherical_harmonic,
-    upper_incomplete_gamma,
 )
 
 # a = b = 1/2 - i sqrt(7)/2 is the hypergeometric parameter pair of the
@@ -81,30 +80,6 @@ DIGAMMA_CASES = {
     (-1.7+0j): complex(-1.48571749951105671, 0.0),
     (-0.7+0j): complex(-2.07395279362870378, 0.0),
     (-2.4+0.3j): complex(1.51672447736667675, 2.31697057920307015),
-}
-
-UPPER_GAMMA_CASES = {
-    (0.5, 0.25): 0.84989183807993113,
-    (0.0, 0.3): 0.90567665167584674,
-    (-1.7, 0.01): 1443.79175931324005,
-    (2.3, 5.0): 0.0695552603296165961,
-    (-2.0, 0.7): 0.338900330940655508,
-}
-# small |a|: the recurrence test cannot see these errors, it multiplies
-# Gamma(a, x) by a before comparing
-UPPER_GAMMA_SMALL_A_CASES = {
-    (1e-300, 1.0): 0.219383934395520274,
-    (-1e-300, 1.0): 0.219383934395520274,
-    (1e-17, 1.0): 0.219383934395520275,
-    (1e-09, 0.5): 0.559773594746430516,
-    (-0.999999999999, 0.5): 0.653287724648948227,
-}
-# negative a: the recurrence lift at its bound, and the continued fraction
-# below it
-UPPER_GAMMA_NEGATIVE_A_CASES = {
-    (-20.0, 1.0): 0.0174766734982343224,
-    (-25.5, 0.5): 1106142.06997772294,
-    (-2000.0, 1.0): 0.00018384775074843225,
 }
 
 BESSEL_HALF_CASES = {
@@ -232,18 +207,6 @@ class TestGamma:
         assert got.dtype == np.float64
         assert np.abs(got / want[zs.imag == 0.0].real - 1.0).max() <= 1e-14
 
-    def test_frozen_zeta_constants_give_lgamma(self):
-        # ln Gamma(1+a) = -ln(1+a) + (1-euler) a + sum_k c_k a^k on |a| <= 1/2,
-        # at a = k/256 so that 1 + a is exact; math.lgamma is good to an
-        # absolute 6e-16 near its zero at a = 0, not to a relative 1e-14
-        for k in range(-128, 129):
-            a = k / 256
-            poly = 0.0
-            for c in reversed(specfun._LNGAMMA1P_COEFFS):
-                poly = poly * a + c
-            series = -math.log1p(a) + (1.0 - specfun._EULER_GAMMA) * a + a * a * poly
-            assert series == pytest.approx(math.lgamma(1.0 + a), rel=1e-14, abs=1e-15)
-
     def test_gamma_pole_in_the_log_case_lead(self):
         # F(0.3, 2; 0.3; z) = (1-z)^-2 runs through the Euler reflection into
         # the log case at a = 0, where 1/Gamma(0) = 0 drops the log part
@@ -251,57 +214,6 @@ class TestGamma:
             warnings.simplefilter("error")
             got = hyp2f1(0.3, 2.0, 0.3, 0.97)
         assert got == pytest.approx(HYP2F1_CASES[(2.0, 0.3, 0.3, 0.97)], rel=1e-13)
-
-
-class TestUpperIncompleteGamma:
-    @pytest.mark.parametrize(
-        "args,want",
-        sorted(UPPER_GAMMA_CASES.items())
-        + sorted(UPPER_GAMMA_SMALL_A_CASES.items())
-        + sorted(UPPER_GAMMA_NEGATIVE_A_CASES.items()),
-    )
-    def test_frozen_references(self, args, want):
-        assert upper_incomplete_gamma(*args) == pytest.approx(want, rel=1e-12)
-
-    @given(st.floats(-2.4, 2.4), st.floats(0.05, 8.0))
-    @example(2.225073858507e-311, 1.0)
-    @example(5e-324, 1.0)
-    @settings(max_examples=80, deadline=None)
-    def test_recurrence(self, a, x):
-        # Gamma(a+1, x) = a Gamma(a, x) + x^a e^{-x}
-        lhs = upper_incomplete_gamma(a + 1.0, x)
-        rhs = a * upper_incomplete_gamma(a, x) + x**a * math.exp(-x)
-        assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
-
-    def test_a_one_is_plain_exponential(self):
-        assert upper_incomplete_gamma(1.0, 2.3) == pytest.approx(
-            math.exp(-2.3), rel=1e-13
-        )
-
-    def test_rejects_nonpositive_x(self):
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(0.5, 0.0)
-
-    @given(st.floats(-2.4, 2.4), st.floats(0.05, 8.0))
-    @example(1e-300, 1.0)
-    @example(1e-200, 0.5)
-    @settings(max_examples=200, deadline=None)
-    def test_finite_and_positive(self, a, x):
-        # Gamma(a, x) integrates t^{a-1} e^{-t} over t > x > 0
-        v = upper_incomplete_gamma(a, x)
-        assert math.isfinite(v) and v > 0.0
-
-    @pytest.mark.parametrize(
-        "a,x", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, math.inf)]
-    )
-    def test_rejects_non_finite(self, a, x):
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(a, x)
-
-    def test_overflow_is_domain_error(self):
-        # Gamma(200, 1) ~ 199! lies beyond binary64
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(200.0, 1.0)
 
 
 class TestBesselHalf:

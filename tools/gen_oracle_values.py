@@ -3,7 +3,7 @@ the gamma-function constants of src/dswave/specfun.py.
 
 Every [DERIVED] constant asserted in tests/ is produced here from mpmath at
 40 significant digits, via formulas or quadratures independent of the
-package code paths (mpmath's own hyp2f1/besselj/gammainc, closed forms
+package code paths (mpmath's own hyp2f1/besselj, closed forms
 where they exist, tanh-sinh quadrature elsewhere).  Run
 
     python3 tools/gen_oracle_values.py
@@ -134,10 +134,6 @@ def gen_gamma_constants() -> None:
     for v in _rising(n):
         print(f"    {float(v)!r},")
     print(")")
-    print("_LNGAMMA1P_COEFFS = (")
-    for k in range(2, 41):
-        print(f"    {float((-1) ** k * (mp.zeta(k) - 1) / k)!r},")
-    print(")")
 
 
 def _kernel_line(m):
@@ -222,32 +218,11 @@ def gen_kernels() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Incomplete gamma, Bessel, Laguerre, harmonics
+# Bessel, Laguerre, harmonics
 
 
 def gen_scalars() -> None:
     header("scalar special functions (tests/test_specfun.py)")
-    print("UPPER_GAMMA_CASES = {")
-    for a, x in [(0.5, 0.25), (0.0, 0.3), (-1.7, 0.01), (2.3, 5.0), (-2.0, 0.7)]:
-        v = mp.gammainc(mp.mpf(a), mp.mpf(x), mp.inf)
-        print(f"    ({a}, {x}): {ffmt(v)},")
-    print("}")
-    # small |a|, where Gamma(a) and the lower function cancel
-    print("UPPER_GAMMA_SMALL_A_CASES = {")
-    for a, x in [
-        (1e-300, 1.0), (-1e-300, 1.0), (1e-17, 1.0), (1e-9, 0.5),
-        (-0.999999999999, 0.5),
-    ]:
-        v = mp.gammainc(mp.mpf(a), mp.mpf(x), mp.inf)
-        print(f"    ({a}, {x}): {ffmt(v)},")
-    print("}")
-    # negative a: the recurrence lift at its bound, and the continued
-    # fraction below it
-    print("UPPER_GAMMA_NEGATIVE_A_CASES = {")
-    for a, x in [(-20.0, 1.0), (-25.5, 0.5), (-2000.0, 1.0)]:
-        v = mp.gammainc(mp.mpf(a), mp.mpf(x), mp.inf)
-        print(f"    ({a}, {x}): {ffmt(v)},")
-    print("}")
     print("BESSEL_HALF_CASES = {")
     for ell, z in [(0, 0.6), (2, 1e-7), (3, 0.37), (5, 2.6), (7, 25.0)]:
         v = mp.besselj(mp.mpf(ell) + mp.mpf(1) / 2, mp.mpf(z))
