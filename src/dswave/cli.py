@@ -34,7 +34,6 @@ import jsonschema
 from .desitter import (
     FieldGrid,
     _METHODS,
-    _evaluate_point,
     decay_fit,
     evaluate_grid,
     ita_remainder,
@@ -417,13 +416,13 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     cfg["mode"]["velocity"] = {**_VELOCITY_DEFAULTS[vel["kind"]], **vel}
 
     _validate(cfg)
+    if cfg["jobs"] is None:
+        cfg["jobs"] = os.cpu_count() or 1
     cfg["grid"]["r"] = _expand_axis(cfg["grid"]["r"], "r")
     cfg["grid"]["t"] = _expand_axis(cfg["grid"]["t"], "t")
     # pre-flight the physical builds so every bad setting exits as a
     # configuration error rather than surfacing mid-run
-    params = _build_params(cfg)
-    _build_mode(cfg, params)
-    _build_spec(cfg)
+    _, params, _ = _build_point_args(cfg)
     if args.command in ("eval", "compare"):
         methods = [cfg["method"]] + ([cfg["method_b"]] if args.command == "compare" else [])
         for meth in methods:
@@ -482,6 +481,11 @@ def _build_spec(cfg: dict[str, Any]) -> QuadratureSpec:
     return replace(DEFAULT_SPEC, **q) if q else DEFAULT_SPEC
 
 
+def _build_point_args(cfg: dict[str, Any]) -> tuple[ModeState, PhysicalParams, QuadratureSpec]:
+    params = _build_params(cfg)
+    return _build_mode(cfg, params), params, _build_spec(cfg)
+
+
 def _build_fd(cfg: dict[str, Any]) -> FDConfig:
     fd = cfg["fd"]
     t_end = max(cfg["grid"]["t"])
@@ -509,70 +513,59 @@ def _embedded(cfg: dict[str, Any]) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # Grid execution
 
-_TASK_CACHE: dict[str, tuple[ModeState, PhysicalParams, QuadratureSpec, float, float]] = {}
+# what a pool worker hands evaluate_grid besides its sub-grid, set once per
+# worker by _init_worker
+_WORKER: tuple[ModeState, PhysicalParams, str, float, float, QuadratureSpec] | None = None
 
 
-def _task_context(key: str) -> tuple[ModeState, PhysicalParams, QuadratureSpec, float, float]:
-    ctx = _TASK_CACHE.get(key)
-    if ctx is None:
-        cfg = json.loads(key)
-        params = _build_params(cfg)
-        ctx = (
-            _build_mode(cfg, params),
-            params,
-            _build_spec(cfg),
-            cfg["grid"]["theta"],
-            cfg["grid"]["phi"],
-        )
-        _TASK_CACHE[key] = ctx
-    return ctx
+def _init_worker(cfg: dict[str, Any], method: str) -> None:
+    # profiles hold closures, which do not pickle: each worker builds its
+    # own from the configuration
+    global _WORKER
+    mode, params, spec = _build_point_args(cfg)
+    _WORKER = (mode, params, method, cfg["grid"]["theta"], cfg["grid"]["phi"], spec)
 
 
-def _point_task(task: tuple[str, str, int, int, float, float]) -> tuple[int, int, complex, str]:
-    """One grid point, run inside a worker; failures are recorded in the
-    err_flag instead of propagating so partial output survives."""
-    key, method, i, j, r, t = task
-    mode, params, spec, theta, phi = _task_context(key)
-    return i, j, *_evaluate_point(_METHODS[method], mode, params, r, t, theta, phi, spec)
+def _subgrid_task(task: tuple[float, list[float]]) -> FieldGrid:
+    r, ts = task
+    mode, params, method, theta, phi, spec = _WORKER
+    return evaluate_grid(mode, params, method, [r], ts, theta, phi, spec).grid
 
 
 def _run_grid(cfg: dict[str, Any], method: str, jobs: int) -> FieldGrid:
     """Evaluate one method over the configured grid.
 
-    The finite-difference method is a single whole-grid evolution and runs
-    in-process; the point methods fan out over a bounded worker pool for
-    jobs > 1.  Points are computed by the same pure evaluator either way and
-    assembled in row-major index order, so output is identical for every
+    The finite-difference method (a single whole-grid evolution) and a run
+    with one worker (jobs <= 1, or a one-point grid) are one evaluate_grid
+    call in-process.  Otherwise a pool of at most `jobs` workers runs
+    evaluate_grid on sub-grids: one radius and a contiguous run of times
+    each, about four per worker, so that a one-radius grid spreads too.
+    The rows come back in order, so output is identical for every
     parallelism degree.
     """
     rs, ts = cfg["grid"]["r"], cfg["grid"]["t"]
-    params = _build_params(cfg)
-    mode = _build_mode(cfg, params)
-    spec = _build_spec(cfg)
+    # built in the parent first: a failure ends the run here as it does at
+    # jobs = 1, and the pool's initializer repeats a build that passed, in
+    # the same floating-point state (forked) or a laxer one (spawned)
+    mode, params, spec = _build_point_args(cfg)
     theta, phi = cfg["grid"]["theta"], cfg["grid"]["phi"]
-    if method == "fd":
-        field = evaluate_grid(
-            mode, params, "fd", rs, ts, theta, phi, spec, fd_config=_build_fd(cfg)
-        )
-        return field.grid
-    if jobs <= 1:
-        return evaluate_grid(mode, params, method, rs, ts, theta, phi, spec).grid
-    key = json.dumps(_embedded(cfg), sort_keys=True)
-    tasks = [
-        (key, method, i, j, r, t)
-        for i, r in enumerate(rs)
-        for j, t in enumerate(ts)
-    ]
-    values = np.empty((len(rs), len(ts)), dtype=complex)
-    flags = [["ok"] * len(ts) for _ in rs]
-    workers = min(jobs, len(tasks))
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, j, val, flag in pool.map(_point_task, tasks, chunksize=chunk):
-            values[i, j] = val
-            flags[i][j] = flag
+    workers = min(jobs, len(rs) * len(ts))
+    if method == "fd" or workers <= 1:
+        fd_config = _build_fd(cfg) if method == "fd" else None
+        return evaluate_grid(
+            mode, params, method, rs, ts, theta, phi, spec, fd_config=fd_config
+        ).grid
+    runs = min(len(ts), math.ceil(4 * workers / len(rs)))
+    tasks = [(r, part.tolist()) for r in rs for part in np.array_split(ts, runs)]
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(cfg, method)) as pool:
+        parts = list(pool.map(_subgrid_task, tasks))
+    rows = [parts[i:i + runs] for i in range(0, len(parts), runs)]
     return FieldGrid(
-        r_values=rs, t_values=ts, values=values, err_flags=flags, method=method
+        r_values=rs,
+        t_values=ts,
+        values=[np.concatenate([p.values[0] for p in row]) for row in rows],
+        err_flags=[[f for p in row for f in p.err_flags[0]] for row in rows],
+        method=method,
     )
 
 
@@ -584,18 +577,6 @@ def _open_out(cfg: dict[str, Any]):
     if path is None:
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _resolve_format(cfg: dict[str, Any], default: str) -> str:
-    fmt = cfg["output"]["format"]
-    return default if fmt is None else fmt
-
-
-def _write_rows_csv(fh: TextIO, header: Sequence[str], rows: list[list[Any]]) -> None:
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
-        fh.write(",".join(cells) + "\n")
 
 
 def _dump_json(fh: TextIO, doc: dict[str, Any]) -> None:
@@ -616,46 +597,46 @@ def _emit(cfg: dict[str, Any], write: Callable[[TextIO], None]) -> None:
             fh.close()
 
 
+def _write_rows(
+    cfg: dict[str, Any], command: str, header: Sequence[str], rows: list[list[Any]]
+) -> None:
+    """Header and rows as CSV (the default), or as a JSON report of one
+    object per row in which a nan cell is null."""
+    if cfg["output"]["format"] == "json":
+        doc = {
+            "command": command,
+            "config": _embedded(cfg),
+            "rows": [
+                {k: (_nan_to_none(v) if isinstance(v, float) else v) for k, v in zip(header, row)}
+                for row in rows
+            ],
+        }
+        _emit(cfg, lambda fh: _dump_json(fh, doc))
+        return
+
+    def write_csv(fh: TextIO) -> None:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            fh.write(",".join(cells) + "\n")
+
+    _emit(cfg, write_csv)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_eval(cfg: dict[str, Any]) -> int:
-    jobs = cfg["jobs"] if cfg["jobs"] is not None else (os.cpu_count() or 1)
-    grid = _run_grid(cfg, cfg["method"], jobs)
-    fmt = _resolve_format(cfg, "csv")
-    if fmt == "csv":
-        rows = [
-            [s.r, s.t, s.value.real, s.value.imag, s.method, s.err_flag]
-            for s in grid
-        ]
-        _emit(cfg, lambda fh: _write_rows_csv(
-            fh, ("r", "t", "re", "im", "method", "err_flag"), rows
-        ))
-    else:
-        doc = {
-            "command": "eval",
-            "config": _embedded(cfg),
-            "rows": [
-                {
-                    "r": s.r,
-                    "t": s.t,
-                    "re": _nan_to_none(s.value.real),
-                    "im": _nan_to_none(s.value.imag),
-                    "method": s.method,
-                    "err_flag": s.err_flag,
-                }
-                for s in grid
-            ],
-        }
-        _emit(cfg, lambda fh: _dump_json(fh, doc))
+    grid = _run_grid(cfg, cfg["method"], cfg["jobs"])
+    rows = [[s.r, s.t, s.value.real, s.value.imag, s.method, s.err_flag] for s in grid]
+    _write_rows(cfg, "eval", ("r", "t", "re", "im", "method", "err_flag"), rows)
     failed = any(s.err_flag != "ok" for s in grid)
     return 2 if failed else 0
 
 
 def cmd_compare(cfg: dict[str, Any]) -> int:
-    jobs = cfg["jobs"] if cfg["jobs"] is not None else (os.cpu_count() or 1)
-    grid_a = _run_grid(cfg, cfg["method"], jobs)
-    grid_b = _run_grid(cfg, cfg["method_b"], jobs)
+    grid_a = _run_grid(cfg, cfg["method"], cfg["jobs"])
+    grid_b = _run_grid(cfg, cfg["method_b"], cfg["jobs"])
     bad = [
         (s_a.r, s_a.t, s_a.err_flag, s_b.err_flag)
         for s_a, s_b in zip(grid_a, grid_b)
@@ -699,9 +680,7 @@ def cmd_compare(cfg: dict[str, Any]) -> int:
 
 
 def cmd_decay(cfg: dict[str, Any]) -> int:
-    params = _build_params(cfg)
-    mode = _build_mode(cfg, params)
-    spec = _build_spec(cfg)
+    mode, params, spec = _build_point_args(cfg)
     dc = cfg["decay"]
 
     def sampler(t: float) -> complex:
@@ -782,20 +761,7 @@ def cmd_kernels(cfg: dict[str, Any]) -> int:
     if huy:
         header += ["huygens_k0", "huygens_k1"]
     header.append("err_flag")
-    fmt = _resolve_format(cfg, "csv")
-    if fmt == "csv":
-        _emit(cfg, lambda fh: _write_rows_csv(fh, header, rows))
-    else:
-        doc = {
-            "command": "kernels",
-            "config": _embedded(cfg),
-            "rows": [
-                {k: (_nan_to_none(v) if isinstance(v, float) else v)
-                 for k, v in zip(header, row)}
-                for row in rows
-            ],
-        }
-        _emit(cfg, lambda fh: _dump_json(fh, doc))
+    _write_rows(cfg, "kernels", header, rows)
     return 2 if failed else 0
 
 

@@ -590,14 +590,7 @@ def pionic_profile(
     def func(x):
         return c * x ** (mu - 0.5) * np.exp(-0.5 * x) * assoc_laguerre(k, two_mu, x)
 
-    return RadialProfile(
-        func=func,
-        mu=mu,
-        parity_ell=ell,
-        decay_class="exponential",
-        hankel=_pionic_hat(c, mu, k, ell),
-        label=f"pionic(n={n_quantum},ell={ell},Z={Z})",
-    )
+    return RadialProfile(func=func, mu=mu, parity_ell=ell, hankel=_pionic_hat(c, mu, k, ell))
 
 
 def _pionic_hat(c: complex, mu: float, k: int, ell: int) -> Callable[[float], complex]:

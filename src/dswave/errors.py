@@ -30,11 +30,7 @@ class UnsupportedEll(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Base class for quadrature routines giving up."""
-
-
-class ToleranceNotMet(QuadratureFailure):
-    """Quadrature finished but the error estimate exceeds the request.
+    """Base class for quadrature routines giving up.
 
     Carries the best available ``value`` and ``err_est`` so callers can
     degrade gracefully instead of losing the computation.
@@ -46,13 +42,12 @@ class ToleranceNotMet(QuadratureFailure):
         self.err_est = err_est
 
 
+class ToleranceNotMet(QuadratureFailure):
+    """Quadrature finished but the error estimate exceeds the request."""
+
+
 class TailNotNegligible(QuadratureFailure):
     """Truncated tail of a semi-infinite integral exceeds its budget."""
-
-    def __init__(self, message: str, value: complex = 0j, err_est: float = float("inf")):
-        super().__init__(message)
-        self.value = value
-        self.err_est = err_est
 
 
 class NonFiniteIntegrand(QuadratureFailure):

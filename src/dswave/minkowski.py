@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DomainError, InvalidParam, ToleranceNotMet, UnsupportedEll
 from .quadrature import (
     DEFAULT_SPEC,
+    LAMBDA_MAX,
     QuadratureSpec,
     integrate_batch,
     integrate_finite,
@@ -56,30 +57,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial data function with its parity extension and decay metadata.
+    """Radial data function with its parity extension.
 
     func is the bare profile on r > 0 and takes arrays; calls with negative
     arguments go through the extension F(-r) = (-1)^ell F(r) (r^ell F
     even).  The profile and r_f take scalars or arrays and return the
     same.  mu is the small-r exponent: F = O(r^{mu - 1/2}) as r -> 0+.
-    decay_class is "exponential" or "algebraic"; algebraic profiles carry
-    their rate in decay_k (|F| = O(r^{-decay_k})) and are admissible for
-    the spectral path only when decay_k > 2.  hankel, when set, is a closed
-    form of the order parity_ell + 1/2 transform (taking arrays too) used
-    to skip the numerical one.
+    hankel, when set, is a closed form of the order parity_ell + 1/2
+    transform (taking arrays too) used to skip the numerical one.
     """
 
     func: Callable[[float], complex]
     mu: float
     parity_ell: int
-    decay_class: str = "exponential"
-    decay_k: float = math.inf
     hankel: Callable[[float], complex] | None = None
-    label: str = "profile"
 
     def __post_init__(self) -> None:
-        if self.decay_class not in ("exponential", "algebraic"):
-            raise InvalidParam(f"unknown decay_class {self.decay_class!r}")
         if self.parity_ell < 0:
             raise InvalidParam("parity_ell must be >= 0")
 
@@ -105,10 +98,6 @@ class RadialProfile:
         zero = xs == 0.0
         v = np.where(zero, 0.0, xs * self(np.where(zero, 1.0, xs)))
         return complex(v) if xs.ndim == 0 else v
-
-    @property
-    def hankel_admissible(self) -> bool:
-        return self.decay_class == "exponential" or self.decay_k > 2.0
 
 
 @dataclass(frozen=True)
@@ -166,14 +155,7 @@ def gaussian_profile(
         def hat(lam, _c=scale, _s=sigma, _e=ell):
             return _c * lam ** (_e + 0.5) * np.exp(-lam * lam / (4.0 * _s))
 
-    return RadialProfile(
-        func=func,
-        mu=p + 0.5,
-        parity_ell=ell,
-        decay_class="exponential",
-        hankel=hat,
-        label=f"gaussian(ell={ell},sigma={sigma},power={p})",
-    )
+    return RadialProfile(func=func, mu=p + 0.5, parity_ell=ell, hankel=hat)
 
 
 def scaled_profile(profile: RadialProfile, coef: complex) -> RadialProfile:
@@ -183,7 +165,6 @@ def scaled_profile(profile: RadialProfile, coef: complex) -> RadialProfile:
         profile,
         func=lambda x: coef * profile.func(x),
         hankel=None if base_hat is None else (lambda lam: coef * base_hat(lam)),
-        label=f"{coef}*{profile.label}",
     )
 
 
@@ -192,8 +173,6 @@ def tabulated_profile(
     f_values,
     ell: int,
     mu: float | None = None,
-    decay_class: str = "exponential",
-    decay_k: float = math.inf,
 ) -> RadialProfile:
     """Cubic-spline profile through sampled (r, F) pairs, zero outside them."""
     # scipy is imported where it is used: importing dswave loads none of it
@@ -211,14 +190,7 @@ def tabulated_profile(
     def func(x):
         return np.where((x < lo) | (x > hi), 0.0, spline(x))
 
-    return RadialProfile(
-        func=func,
-        mu=ell + 0.5 if mu is None else mu,
-        parity_ell=ell,
-        decay_class=decay_class,
-        decay_k=decay_k,
-        label="tabulated",
-    )
+    return RadialProfile(func=func, mu=ell + 0.5 if mu is None else mu, parity_ell=ell)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +370,6 @@ def hankel_transform(
     """Transform int_0^inf f(rho) J_{nu_ell+1/2}(s rho) rho^{3/2} drho."""
     if s <= 0.0:
         raise DomainError(f"hankel_transform requires s > 0, got {s}")
-    if not f.hankel_admissible:
-        raise InvalidParam("profile decays too slowly for the spectral path")
     res = integrate_semi_infinite_oscillatory(
         lambda rho: f(rho) * bessel_j_half(nu_ell, s * rho) * rho**1.5,
         2.0 * math.pi / s,
@@ -413,8 +383,6 @@ def _profile_transform(
 ) -> Callable[[float], complex]:
     """Transform of order ell + 1/2 as a callable: closed form when the
     profile carries one for this order, else memoized numerical quadrature."""
-    if not f.hankel_admissible:
-        raise InvalidParam("profile decays too slowly for the spectral path")
     if f.hankel is not None and ell == f.parity_ell:
         return f.hankel
     cache: dict[float, complex] = {}
@@ -476,8 +444,7 @@ def _component_tail(
         w = freq[k] * lam
         return gfun(lam) * poly(k, 1.0 / (r * lam)) * np.where(is_sin[k], np.sin(w), np.cos(w))
 
-    trunc_max = spec.oscillatory_truncation.lambda_max
-    lam_slow = max(trunc_max, 16.0 * lam0)
+    lam_slow = max(LAMBDA_MAX, 16.0 * lam0)
     with np.errstate(divide="ignore"):
         lam1 = math.pi / (4.0 * freq)  # the quarter-period point, inf at freq 0
     slow = freq < math.pi / (4.0 * lam0)
@@ -526,7 +493,7 @@ def _component_tail(
         spec,
         start=start,
         first_boundary=z1,
-        lambda_max=np.where(slow[osc], np.maximum(trunc_max, 3000.0 * lam1[osc]), trunc_max),
+        lambda_max=np.where(slow[osc], np.maximum(LAMBDA_MAX, 3000.0 * lam1[osc]), LAMBDA_MAX),
     ).value
     out = np.zeros(len(comps), dtype=complex)
     out[live] = coef * tail

@@ -22,7 +22,7 @@ reaches a caller is the miss of whichever integral raised it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -35,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "OscillatoryTruncation",
     "QuadratureSpec",
     "IntegralResult",
     "DEFAULT_SPEC",
@@ -45,13 +44,10 @@ __all__ = [
     "integrate_oscillatory_batch",
 ]
 
-
-@dataclass(frozen=True)
-class OscillatoryTruncation:
-    """Truncation policy for semi-infinite integrals."""
-
-    lambda_max: float = 1e5
-    tail_tol: float = 1e-10
+# where a semi-infinite oscillatory integral is cut by default, and the
+# budget its discarded tail must fit there
+LAMBDA_MAX = 1e5
+_TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,17 +57,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
-    oscillatory_truncation: OscillatoryTruncation = field(
-        default_factory=OscillatoryTruncation
-    )
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise InvalidParam("tolerances must be positive")
         if self.max_subdivisions < 8:
             raise InvalidParam("max_subdivisions must be >= 8")
-        if self.oscillatory_truncation.lambda_max <= 0:
-            raise InvalidParam("lambda_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,7 +121,9 @@ _STALL_ROUNDS = 8
 def _kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """G10K21 on each interval [lo_j, hi_j] of integral owner_j: values and
     QUADPACK error estimates, the estimate of a complex integrand being the
-    hypot of those of its real and imaginary parts."""
+    hypot of those of its real and imaginary parts.  Raises
+    NonFiniteIntegrand where the integrand, or a rule summed from its
+    finite values, leaves the binary64 range."""
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = centre[:, None] + half[:, None] * _NODES
@@ -152,8 +145,15 @@ def _kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     err = np.where(resabs > _UFLOW / (50.0 * _EPS), np.maximum(floor, err), err)
     value = resk * half
     if len(parts) == 2:
-        return value[0] + 1j * value[1], np.hypot(err[0], err[1])
-    return value[0] + 0j, err[0]
+        value, err = value[0] + 1j * value[1], np.hypot(err[0], err[1])
+    else:
+        value, err = value[0] + 0j, err[0]
+    if not (np.isfinite(value).all() and np.isfinite(err).all()):
+        i = int(np.argmin(np.isfinite(value) & np.isfinite(err)))
+        raise NonFiniteIntegrand(
+            f"rule on [{float(lo[i])!r}, {float(hi[i])!r}] exceeds the binary64 range"
+        )
+    return value, err
 
 
 def _pick(owner, err, errsum, tol, room, need) -> np.ndarray:
@@ -345,7 +345,7 @@ def integrate_oscillatory_batch(
     *,
     start=0.0,
     first_boundary=None,
-    lambda_max=None,
+    lambda_max=LAMBDA_MAX,
 ) -> IntegralResult:
     """The independent integrals int_{start_i}^inf f(x, i) dx of
     oscillatory-decaying integrands, all on one ladder.
@@ -357,8 +357,9 @@ def integrate_oscillatory_batch(
     A member converges either when two consecutive cells are negligible
     (decay-dominated case, with a geometric tail bound folded into err_est)
     or when the accelerated estimate stabilizes.  On reaching its cap
-    (lambda_max, by default spec.oscillatory_truncation.lambda_max) a
-    member's discarded tail must be below tail_tol, else TailNotNegligible.
+    (lambda_max, by default the constant LAMBDA_MAX = 1e5) a member's
+    discarded tail must be below the fixed budget 1e-10, else
+    TailNotNegligible.
     Every round, the next cells of all members still running are one
     engine pass, and each member comes out as it would alone.
 
@@ -368,17 +369,15 @@ def integrate_oscillatory_batch(
     TailNotNegligible carrying the values and error estimates in the same
     form.
     """
-    trunc = spec.oscillatory_truncation
     period, lo, first, lam_max = np.broadcast_arrays(
         np.asarray(period_hint, dtype=float),
         np.asarray(start, dtype=float),
         np.asarray(start if first_boundary is None else first_boundary, dtype=float),
-        np.asarray(trunc.lambda_max if lambda_max is None else lambda_max, dtype=float),
+        np.asarray(lambda_max, dtype=float),
     )
     shape = period.shape
     if not (period > 0.0).all():
         raise InvalidParam(f"period_hint must be positive, got {period_hint}")
-    tail_tol = trunc.tail_tol
     h = 0.5 * period.ravel()
     b_prev = lo.ravel().copy()
     first, lam_max = first.ravel(), lam_max.ravel()
@@ -424,7 +423,7 @@ def integrate_oscillatory_batch(
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(s0 > 0.0, np.minimum(s1 / s0, 0.9), 0.0)
             tail = s1 * ratio / (1.0 - ratio)
-            done = (s1 <= 0.25 * tol) & (s0 <= 0.25 * tol) & (tail <= np.maximum(tail_tol, tol))
+            done = (s1 <= 0.25 * tol) & (s0 <= 0.25 * tol) & (tail <= np.maximum(_TAIL_TOL, tol))
             fin = run[done]
             value[fin] = total[fin]
             err_out[fin] = errs[fin] + s1[done] + tail[done]
@@ -452,9 +451,9 @@ def integrate_oscillatory_batch(
     # lambda_max reached: the accelerated estimate if there is one; a tail
     # verified small is charged to the error estimate
     cut = b_prev >= lam_max
-    missed = cut & (last > tail_tol)
+    missed = cut & (last > _TAIL_TOL)
     value[cut] = np.where(has_accel, accel, total)[cut]
-    err_out[cut] = (errs + last + np.where(missed, 0.0, tail_tol))[cut]
+    err_out[cut] = (errs + last + np.where(missed, 0.0, _TAIL_TOL))[cut]
     if shape:
         res = IntegralResult(value.reshape(shape), err_out.reshape(shape))
     else:
@@ -463,7 +462,7 @@ def integrate_oscillatory_batch(
         i = int(np.argmax(missed))
         more = int(missed.sum()) - 1
         raise TailNotNegligible(
-            f"cell sums still {last[i]:.3e} > tail_tol {tail_tol:.3e} "
+            f"cell sums still {last[i]:.3e} > tail_tol {_TAIL_TOL:.3e} "
             f"at lambda_max={lam_max[i]}"
             + (f", and {more} more of {n}" if more else ""),
             value=res.value,

@@ -86,6 +86,25 @@ class TestEval:
         assert main(base + ["--jobs", "2", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            # flagged points: the t = 400 rows leave the binary64 range
+            (["eval", "--mass", "2.0", "--r", "0.7,0.8", "--t", "0,1,400"], 2),
+            # one radius: the pool splits its times
+            (["eval", "--r", "0.7", "--t", "0:3:9"], 0),
+            (["compare", "--method", "riemann", "--method-b", "hankel",
+              "--r", "0.6,1.2", "--t", "0.4,1.1", "--mass", "1.0"], 0),
+        ],
+    )
+    def test_pool_output_matches_one_job(self, capsys, argv, want):
+        outs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, *argv, "--jobs", jobs)
+            assert code == want
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_repeat_run_byte_identical(self, tmp_path):
         argv = ["eval", "--r", "1.0", "--t", "0,1", "--out"]
         a = tmp_path / "a.csv"

@@ -196,6 +196,14 @@ class TestAssemblyAnchors:
         with pytest.raises(InvalidParam):
             field_riemann(mode, PhysicalParams(H=1.0, m=1.0), 0.5, 0.5)
 
+    def test_rule_sum_beyond_binary64_raises(self):
+        # finite data whose quadrature sums overflow: an exception from
+        # dswave.errors, not a silent nan, even with the warnings off
+        mode = ModeState(ell=0, m=0, f0=gaussian_profile(0, amplitude=1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(errors.NonFiniteIntegrand):
+                field_riemann(mode, PhysicalParams(H=1.0, m=SQRT2), 0.5, 1.0)
+
 
 class TestFieldMethods:
     def test_initial_data_recovery_all_methods(self):

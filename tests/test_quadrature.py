@@ -9,7 +9,6 @@ from dswave import (
     DEFAULT_SPEC,
     InvalidParam,
     NonFiniteIntegrand,
-    OscillatoryTruncation,
     QuadratureSpec,
     TailNotNegligible,
     ToleranceNotMet,
@@ -178,13 +177,11 @@ class TestSemiInfiniteOscillatory:
 
     def test_truncation_limit_raises(self):
         # positive cell sums defeat the alternating-series acceleration, and
-        # the x^{-1.2} envelope is still far above tail_tol at lambda_max
-        spec = QuadratureSpec(
-            oscillatory_truncation=OscillatoryTruncation(lambda_max=40.0, tail_tol=1e-16)
-        )
+        # the x^{-1.2} envelope is still far above the tail budget at
+        # lambda_max
         with pytest.raises(TailNotNegligible):
-            integrate_semi_infinite_oscillatory(
-                lambda x: (1.0 + np.cos(x)) / (1.0 + x) ** 1.2, 2.0 * math.pi, spec
+            integrate_oscillatory_batch(
+                lambda x, k: (1.0 + np.cos(x)) / (1.0 + x) ** 1.2, 2.0 * math.pi, lambda_max=40.0
             )
 
     def test_rejects_bad_period(self):
@@ -195,9 +192,6 @@ class TestSemiInfiniteOscillatory:
         # decay-dominated, accelerated, offset-start and truncated members on
         # one ladder; the truncated one makes the batch raise, carrying every
         # member's value as its own ladder gives it
-        spec = QuadratureSpec(
-            oscillatory_truncation=OscillatoryTruncation(lambda_max=200.0, tail_tol=1e-12)
-        )
         fns = [
             lambda x: np.exp(-2.0 * x),
             lambda x: np.cos(x) / (1.0 + x * x),
@@ -217,12 +211,18 @@ class TestSemiInfiniteOscillatory:
             return out
 
         with pytest.raises(TailNotNegligible) as batch:
-            integrate_oscillatory_batch(f, periods, spec, start=starts, first_boundary=firsts)
+            integrate_oscillatory_batch(
+                f, periods, start=starts, first_boundary=firsts, lambda_max=200.0
+            )
         raised = []
         for i, fn in enumerate(fns):
             try:
-                one = integrate_semi_infinite_oscillatory(
-                    fn, periods[i], spec, start=starts[i], first_boundary=firsts[i]
+                one = integrate_oscillatory_batch(
+                    lambda x, k, fn=fn: fn(x),
+                    periods[i],
+                    start=starts[i],
+                    first_boundary=firsts[i],
+                    lambda_max=200.0,
                 )
             except TailNotNegligible as exc:
                 one = exc
@@ -233,7 +233,7 @@ class TestSemiInfiniteOscillatory:
 
     def test_per_member_cap_equals_a_spec_cap(self):
         # lambda_max given per member: each member comes out as a one-member
-        # ladder whose spec carries its cap, and only the slow one misses
+        # ladder with its cap, and only the slow one misses
         fns = [
             lambda x: np.cos(x) * np.exp(-x),
             lambda x: (1.0 + np.cos(x)) / (1.0 + x) ** 1.2,
@@ -249,15 +249,13 @@ class TestSemiInfiniteOscillatory:
                 out[k == i] = fn(x[k == i])
             return out
 
-        spec = QuadratureSpec(oscillatory_truncation=OscillatoryTruncation(tail_tol=1e-12))
         with pytest.raises(TailNotNegligible) as batch:
-            integrate_oscillatory_batch(f, periods, spec, lambda_max=caps)
+            integrate_oscillatory_batch(f, periods, lambda_max=caps)
         assert "lambda_max=200.0" in str(batch.value)
         for i, fn in enumerate(fns):
-            trunc = OscillatoryTruncation(lambda_max=caps[i], tail_tol=1e-12)
             try:
-                one = integrate_semi_infinite_oscillatory(
-                    fn, periods[i], QuadratureSpec(oscillatory_truncation=trunc)
+                one = integrate_oscillatory_batch(
+                    lambda x, k, fn=fn: fn(x), periods[i], lambda_max=caps[i]
                 )
             except TailNotNegligible as exc:
                 assert i == 1
