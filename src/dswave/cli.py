@@ -201,7 +201,7 @@ _SCHEMA = {
             "properties": {
                 "abs_tol": {"type": "number", "exclusiveMinimum": 0},
                 "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_subdivisions": {"type": "integer", "minimum": 1},
+                "max_subdivisions": {"type": "integer", "minimum": 8},
             },
             "additionalProperties": False,
         },
@@ -320,8 +320,12 @@ def _parse_normalization(text: str) -> Any:
 
 
 # built once: jsonschema.validate would check the schema and build a new
-# validator on every call
-_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+# validator on every call.  Its "integer" is a JSON integer: the draft's
+# also admits 3.0, which range() and numpy reject
+_DRAFT = jsonschema.validators.validator_for(_SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(_DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine(
+    "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+))(_SCHEMA)
 
 
 def _validate(cfg: dict[str, Any]) -> None:
@@ -490,15 +494,12 @@ def _build_fd(cfg: dict[str, Any]) -> FDConfig:
     fd = cfg["fd"]
     t_end = max(cfg["grid"]["t"])
     r_max = fd.get("r_max", max(cfg["grid"]["r"]) + t_end + 0.5)
-    try:
-        return FDConfig(
-            r_max=r_max,
-            n_r=fd.get("n_r", 2000),
-            t_end=t_end,
-            cfl_safety=fd.get("cfl_safety", 0.2),
-        )
-    except (InvalidParam, DomainError) as exc:
-        raise ConfigError(str(exc)) from None
+    return FDConfig(
+        r_max=r_max,
+        n_r=fd.get("n_r", 2000),
+        t_end=t_end,
+        cfl_safety=fd.get("cfl_safety", 0.2),
+    )
 
 
 def _embedded(cfg: dict[str, Any]) -> dict[str, Any]:

@@ -35,15 +35,10 @@ from .errors import (
 )
 from . import kernels, quadrature
 from .kernels import PhysicalParams, phi_of_t
-from .minkowski import (
-    ModeState,
-    RadialProfile,
-    _check_mode,
-    _hankel_block,
-    _profile_transform,
-    scaled_profile,
-    wave_block,
-)
+from .minkowski import ModeState, RadialProfile, _blocks, _check_mode, scaled_profile
+# the blocks come from _blocks; these bindings are kept for the benchmark's
+# tracer, which wraps them
+from .minkowski import _hankel_block, _profile_transform, wave_block  # noqa: F401
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_finite
 from .specfun import assoc_laguerre, hyp2f1, spherical_harmonic
 
@@ -201,15 +196,6 @@ def _kernels(evaluate, x, t: float, params: PhysicalParams) -> kernels.KernelEva
         raise NonFiniteIntegrand(f"convolution kernel at t={t}: {exc}") from None
 
 
-def _require_collapse(params: PhysicalParams) -> None:
-    if params.n != 3:
-        raise InvalidParam("collapsing-mass forms are specific to n = 3")
-    if not params.is_huygensian:
-        raise InvalidParam(
-            f"m={params.m} is not the collapsing mass sqrt(2)*H={math.sqrt(2) * params.H}"
-        )
-
-
 def _panel_quad(g: Callable[[np.ndarray], np.ndarray], xi_max: float,
                 xi_r: float | None, spec: QuadratureSpec) -> tuple[complex, float]:
     """The endpoint layer int_1^{xi_max} g(xi) dxi in one engine pass: the
@@ -324,14 +310,6 @@ def ita_assemble(
     return lead + _ita_integrals(wave_solution, params, r, t, wave_solution_1, spec)
 
 
-def _wave_blocks(mode: ModeState, spec: QuadratureSpec):
-    """ita_assemble's wave blocks of the mode's data and velocity (or None)."""
-    w0 = lambda rr, s: wave_block(mode.f0, mode.ell, rr, s, spec)
-    if mode.f1 is None:
-        return w0, None
-    return w0, lambda rr, s: wave_block(mode.f1, mode.ell, rr, s, spec)
-
-
 def ita_remainder(
     mode: ModeState,
     params: PhysicalParams,
@@ -343,12 +321,43 @@ def ita_remainder(
     damped traveling term); this is the piece whose late-time envelope the
     decay machinery classifies."""
     _check_point(mode, params, r, t)
-    w0, w1 = _wave_blocks(mode, spec)
-    return _ita_integrals(w0, params, r, t, w1, spec)
+    data0 = _blocks(mode.f0, spec, spectral=False)[0]
+    data1 = None if mode.f1 is None else _blocks(mode.f1, spec, spectral=False)[0]
+    return _ita_integrals(data0, params, r, t, data1, spec)
 
 
 # ---------------------------------------------------------------------------
 # Point evaluators
+
+
+def _field(mode: ModeState, params: PhysicalParams, r: float, t: float, theta: float,
+           phi: float, spec: QuadratureSpec, spectral: bool) -> complex:
+    """Y times ita_assemble of the data blocks of f0 and f1."""
+    _check_point(mode, params, r, t)
+    y = spherical_harmonic(mode.ell, mode.m, theta, phi)
+    data0 = _blocks(mode.f0, spec, spectral)[0]
+    data1 = None if mode.f1 is None else _blocks(mode.f1, spec, spectral)[0]
+    return y * ita_assemble(data0, params, r, t, data1, spec=spec)
+
+
+def _huygens(mode: ModeState, params: PhysicalParams, r: float, t: float, theta: float,
+             phi: float, spec: QuadratureSpec, spectral: bool) -> complex:
+    """Y e^{-H t} [data0 + H velocity0 + velocity1] at the time phi(t)."""
+    if params.n != 3:
+        raise InvalidParam("collapsing-mass forms are specific to n = 3")
+    if not params.is_huygensian:
+        raise InvalidParam(
+            f"m={params.m} is not the collapsing mass sqrt(2)*H={math.sqrt(2) * params.H}"
+        )
+    _check_point(mode, params, r, t, expanding=False)
+    h = params.H
+    pt = phi_of_t(t, h)
+    y = spherical_harmonic(mode.ell, mode.m, theta, phi)
+    data0, velocity0 = _blocks(mode.f0, spec, spectral)
+    v = data0(r, pt) + h * velocity0(r, pt)
+    if mode.f1 is not None:
+        v += _blocks(mode.f1, spec, spectral)[1](r, pt)
+    return y * math.exp(-h * t) * v
 
 
 def field_riemann(
@@ -360,11 +369,9 @@ def field_riemann(
     phi: float = 0.0,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
-    """Field value via quadrature wave blocks under the assembly formula."""
-    _check_point(mode, params, r, t)
-    y = spherical_harmonic(mode.ell, mode.m, theta, phi)
-    w0, w1 = _wave_blocks(mode, spec)
-    return y * ita_assemble(w0, params, r, t, w1, spec=spec)
+    """Field value at (r, t, theta, phi): quadrature wave blocks under the
+    assembly formula (ita_assemble)."""
+    return _field(mode, params, r, t, theta, phi, spec, spectral=False)
 
 
 def field_riemann_huygens(
@@ -376,24 +383,10 @@ def field_riemann_huygens(
     phi: float = 0.0,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
-    """Collapsing-mass field: e^{-H t} [v0(phi(t)) + int_0^{phi(t)}
-    (H v0 + v1)(s) ds] times the angular factor."""
-    _require_collapse(params)
-    _check_point(mode, params, r, t, expanding=False)
-    h = params.H
-    pt = phi_of_t(t, h)
-    y = spherical_harmonic(mode.ell, mode.m, theta, phi)
-    v = wave_block(mode.f0, mode.ell, r, pt, spec)
-    if pt > 0.0:
-        def integrand(s: np.ndarray) -> np.ndarray:
-            out = h * wave_block(mode.f0, mode.ell, r, s, spec)
-            if mode.f1 is not None:
-                out += wave_block(mode.f1, mode.ell, r, s, spec)
-            return out
-
-        # the blocks kink where the integration time crosses the radius
-        v += integrate_finite(integrand, 0.0, pt, spec, points=(r,)).value
-    return y * math.exp(-h * t) * v
+    """Collapsing-mass field from quadrature wave blocks: e^{-H t}
+    [v0(phi(t)) + int_0^{phi(t)} (H v0 + v1)(s) ds] times the angular
+    factor, each time integral taken by adaptive quadrature."""
+    return _huygens(mode, params, r, t, theta, phi, spec, spectral=False)
 
 
 def field_hankel(
@@ -405,18 +398,9 @@ def field_hankel(
     phi: float = 0.0,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
-    """Field value with spectral wave blocks under the assembly formula:
-    ita_assemble, as in field_riemann, with each quadrature pass of the
-    convolutions handing all its nodes to one batch of spectral blocks."""
-    _check_point(mode, params, r, t)
-    y = spherical_harmonic(mode.ell, mode.m, theta, phi)
-    hat0 = _profile_transform(mode.f0, mode.ell, spec)
-    w0 = lambda rr, s: _hankel_block(hat0, mode.ell, rr, s, "cos", spec)
-    w1 = None
-    if mode.f1 is not None:
-        hat1 = _profile_transform(mode.f1, mode.ell, spec)
-        w1 = lambda rr, s: _hankel_block(hat1, mode.ell, rr, s, "cos", spec)
-    return y * ita_assemble(w0, params, r, t, w1, spec=spec)
+    """Field value at (r, t, theta, phi): spectral wave blocks under the
+    assembly formula, all nodes of a convolution pass in one block batch."""
+    return _field(mode, params, r, t, theta, phi, spec, spectral=True)
 
 
 def field_hankel_huygens(
@@ -428,24 +412,14 @@ def field_hankel_huygens(
     phi: float = 0.0,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
-    """Collapsing-mass field in spectral form: the time integral of the
-    cos-type block is carried out in closed form, leaving sin-type blocks
+    """Collapsing-mass field from spectral wave blocks: the time integral
+    of the cos-type block is carried out in closed form, leaving sin-type
+    blocks
 
         e^{-H t} (1/sqrt r) [ int fhat0 cos(lam phi(t)) J lam dlam
             + int (H fhat0 + fhat1)(lam) sin(lam phi(t)) J dlam ].
     """
-    _require_collapse(params)
-    _check_point(mode, params, r, t, expanding=False)
-    h = params.H
-    pt = phi_of_t(t, h)
-    y = spherical_harmonic(mode.ell, mode.m, theta, phi)
-    hat0 = _profile_transform(mode.f0, mode.ell, spec)
-    v = _hankel_block(hat0, mode.ell, r, pt, "cos", spec)
-    v += h * _hankel_block(hat0, mode.ell, r, pt, "sin", spec)
-    if mode.f1 is not None:
-        hat1 = _profile_transform(mode.f1, mode.ell, spec)
-        v += _hankel_block(hat1, mode.ell, r, pt, "sin", spec)
-    return y * math.exp(-h * t) * v
+    return _huygens(mode, params, r, t, theta, phi, spec, spectral=True)
 
 
 _FLAGGED = complex(math.nan, math.nan)
@@ -574,23 +548,27 @@ def pionic_profile(
     mu = math.sqrt(disc)
     k = n_quantum - ell - 1
     two_mu = 2.0 * mu
-    if normalization == "l2":
-        # int_0^inf |F|^2 r^2 dr = C^2 Gamma(k + 2mu + 1)/k! (2k + 2mu + 1)
-        nrm2 = (
-            math.gamma(k + two_mu + 1.0)
-            / math.factorial(k)
-            * (2.0 * k + two_mu + 1.0)
-        )
-        c = 1.0 / math.sqrt(nrm2)
-    else:
-        c = complex(normalization)
-        if c.imag == 0.0:
-            c = c.real
+    try:
+        if normalization == "l2":
+            # int_0^inf |F|^2 r^2 dr = C^2 Gamma(k + 2mu + 1)/k! (2k + 2mu + 1)
+            nrm2 = (
+                math.gamma(k + two_mu + 1.0)
+                / math.factorial(k)
+                * (2.0 * k + two_mu + 1.0)
+            )
+            c = 1.0 / math.sqrt(nrm2)
+        else:
+            c = complex(normalization)
+            if c.imag == 0.0:
+                c = c.real
+        hat = _pionic_hat(c, mu, k, ell)
+    except OverflowError:
+        raise DomainError(f"n_quantum={n_quantum}: Laguerre coefficients overflow") from None
 
     def func(x):
         return c * x ** (mu - 0.5) * np.exp(-0.5 * x) * assoc_laguerre(k, two_mu, x)
 
-    return RadialProfile(func=func, mu=mu, parity_ell=ell, hankel=_pionic_hat(c, mu, k, ell))
+    return RadialProfile(func=func, mu=mu, parity_ell=ell, hankel=hat)
 
 
 def _pionic_hat(c: complex, mu: float, k: int, ell: int) -> Callable[[float], complex]:

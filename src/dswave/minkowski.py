@@ -1,15 +1,19 @@
 """Flat-space radial wave solvers for a single angular mode.
 
-Three independent evaluators for the radial factor F(r, t) of a spherical
-wave with data F(r, 0) = f0(r), F_t(r, 0) = f1(r):
+The radial factor F(r, t) of a spherical wave with data F(r, 0) = f0(r),
+F_t(r, 0) = f1(r) is built from two wave blocks per profile, which
+``_blocks`` supplies in either of two realizations:
 
-* ``solve_riemann``   -- traveling-wave average plus a hypergeometric-
-  polynomial tail integral; the general path, any ell.
-* ``solve_recursive`` -- explicit closed forms with rational coefficients,
-  ell <= 5, zero initial velocity.
-* ``solve_hankel``    -- spectral form: half-integer-order Hankel transform
-  of the data, then a semi-infinite oscillatory integral in the spectral
+* quadrature -- ``wave_block``: traveling-wave average plus a
+  hypergeometric-polynomial tail integral, any ell;
+* spectral   -- ``_hankel_block``: half-integer-order Hankel transform of
+  the data, then a semi-infinite oscillatory integral in the spectral
   variable.
+
+``solve_riemann`` and ``solve_hankel`` evaluate F from the blocks of one
+realization each, and ``dswave.desitter`` assembles its fields from the
+same blocks.  ``solve_recursive`` is an independent check: explicit closed
+forms with rational coefficients, ell <= 5, zero initial velocity.
 
 ``minkowski_kg`` adds the mass term through a Bessel-kernel time
 convolution applied to the wave blocks.  All evaluators accept radii below
@@ -268,31 +272,6 @@ def _check_mode(mode: ModeState) -> None:
         )
 
 
-def solve_riemann(
-    mode: ModeState,
-    r: float,
-    t: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> complex:
-    """Radial factor at (r, t): f0 block plus the time-integrated f1 block."""
-    if r <= 0.0:
-        raise DomainError(f"solve_riemann requires r > 0, got {r}")
-    _check_mode(mode)
-    v = wave_block(mode.f0, mode.ell, r, t, spec)
-    if mode.f1 is not None and t > 0.0:
-        v += _velocity_block(mode.f1, mode.ell, r, t, spec)
-    return v
-
-
-def _velocity_block(
-    f1: RadialProfile, ell: int, r: float, t: float, spec: QuadratureSpec
-) -> complex:
-    """Radial wave solution at (r, t) for data (0, f1): the f1 wave block
-    integrated over [0, t], with a break where the block kinks, at r."""
-    block = lambda tau: wave_block(f1, ell, r, tau, spec)
-    return integrate_finite(block, 0.0, t, spec, points=(r,)).value
-
-
 def solve_recursive(
     mode: ModeState,
     r: float,
@@ -378,13 +357,12 @@ def hankel_transform(
     return res.value
 
 
-def _profile_transform(
-    f: RadialProfile, ell: int, spec: QuadratureSpec
-) -> Callable[[float], complex]:
-    """Transform of order ell + 1/2 as a callable: closed form when the
-    profile carries one for this order, else memoized numerical quadrature."""
-    if f.hankel is not None and ell == f.parity_ell:
+def _profile_transform(f: RadialProfile, spec: QuadratureSpec) -> Callable[[float], complex]:
+    """Transform of order f.parity_ell + 1/2 as a callable: the profile's
+    closed form when it carries one, else memoized numerical quadrature."""
+    if f.hankel is not None:
         return f.hankel
+    ell = f.parity_ell
     cache: dict[float, complex] = {}
 
     def num(lam):
@@ -481,6 +459,9 @@ def _component_tail(
     # is the first zero of its trig factor beyond there
     osc = np.flatnonzero(lam1 < lam_slow)
     start, f = flat_end[osc], freq[osc]
+    if (start + math.pi / f <= start).any():
+        # a half-period below the float spacing: no cell edge can be placed
+        raise ToleranceNotMet(f"tail frequency {f.max():.3g} unresolved at lam={start.max():.3g}")
     off = np.where(is_sin[osc], 0.0, 0.5)
     z1 = (np.ceil(start * f / math.pi - off) + off) * math.pi / f
     low = z1 <= start
@@ -598,24 +579,60 @@ def _hankel_block(
     return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
 
 
+# ---------------------------------------------------------------------------
+# The blocks of both realizations
+
+
+def _blocks(f: RadialProfile, spec: QuadratureSpec, spectral: bool):
+    """The wave blocks of profile f on its mode, as functions of (r, s):
+    data, the solution for data (f, 0) at a time s or an array of them,
+    and velocity, the solution for data (0, f), which is data integrated
+    over [0, s].  Quadrature: wave_block, integrated with a break where it
+    kinks, at s = r.  Spectral: the "cos" and "sin" _hankel_block of f's
+    transform.  Module names are looked up when the blocks are called."""
+    ell = f.parity_ell
+    if spectral:
+        fhat = _profile_transform(f, spec)
+        data = lambda r, s: _hankel_block(fhat, ell, r, s, "cos", spec)
+        velocity = lambda r, s: _hankel_block(fhat, ell, r, s, "sin", spec)
+    else:
+        data = lambda r, s: wave_block(f, ell, r, s, spec)
+        velocity = lambda r, s: integrate_finite(
+            lambda tau: data(r, tau), 0.0, s, spec, points=(r,)
+        ).value
+    return data, velocity
+
+
+def _solve(mode: ModeState, r: float, t: float, spec: QuadratureSpec, spectral: bool) -> complex:
+    """Radial factor at (r, t): f0's data block plus f1's velocity block."""
+    if r <= 0.0 or t < 0.0:
+        raise DomainError(f"flat-space solution requires r > 0 and t >= 0, got r={r}, t={t}")
+    _check_mode(mode)
+    v = _blocks(mode.f0, spec, spectral)[0](r, t)
+    if mode.f1 is not None and t > 0.0:
+        v += _blocks(mode.f1, spec, spectral)[1](r, t)
+    return v
+
+
+def solve_riemann(
+    mode: ModeState,
+    r: float,
+    t: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> complex:
+    """Radial factor at (r, t) from the quadrature wave blocks."""
+    return _solve(mode, r, t, spec, spectral=False)
+
+
 def solve_hankel(
     mode: ModeState,
     r: float,
     t: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> complex:
-    """Radial factor via the spectral representation: cos(lam t) weight with
-    a lam factor on the f0 transform, sin(lam t) weight on the f1 transform."""
-    if r <= 0.0:
-        raise DomainError(f"solve_hankel requires r > 0, got {r}")
-    if t < 0.0:
-        raise DomainError(f"solve_hankel requires t >= 0, got {t}")
-    hat0 = _profile_transform(mode.f0, mode.ell, spec)
-    v = _hankel_block(hat0, mode.ell, r, t, "cos", spec)
-    if mode.f1 is not None and t > 0.0:
-        hat1 = _profile_transform(mode.f1, mode.ell, spec)
-        v += _hankel_block(hat1, mode.ell, r, t, "sin", spec)
-    return v
+    """Radial factor at (r, t) from the spectral blocks: cos(lam t) weight
+    with a lam factor on the f0 transform, sin(lam t) on the f1 one."""
+    return _solve(mode, r, t, spec, spectral=True)
 
 
 # ---------------------------------------------------------------------------
@@ -642,34 +659,30 @@ def minkowski_kg(
         raise InvalidParam(f"m0 must be >= 0, got {m0}")
     if r <= 0.0:
         raise DomainError(f"minkowski_kg requires r > 0, got {r}")
+    if m0 == 0.0 or t == 0.0:
+        return _solve(mode, r, t, spec, spectral=False)
     u = wave_block(mode.f0, mode.ell, r, t, spec)
-    if t == 0.0:
-        return u
     # kink of the blocks at tau = r maps to h = asin(r/t)
     kink = (math.asin(r / t),) if r < t else ()
     from scipy.special import j0 as _bessel_j0
     from scipy.special import j1 as _bessel_j1
 
-    if m0 > 0.0:
-        u -= m0 * t * integrate_finite(
-            lambda h: _bessel_j1(m0 * t * np.cos(h))
-            * wave_block(mode.f0, mode.ell, r, t * np.sin(h), spec),
+    u -= m0 * t * integrate_finite(
+        lambda h: _bessel_j1(m0 * t * np.cos(h))
+        * wave_block(mode.f0, mode.ell, r, t * np.sin(h), spec),
+        0.0,
+        0.5 * math.pi,
+        spec,
+        points=kink,
+    ).value
+    if mode.f1 is not None:
+        u += t * integrate_finite(
+            lambda h: _bessel_j0(m0 * t * np.cos(h))
+            * np.cos(h)
+            * wave_block(mode.f1, mode.ell, r, t * np.sin(h), spec),
             0.0,
             0.5 * math.pi,
             spec,
             points=kink,
         ).value
-    if mode.f1 is not None:
-        if m0 > 0.0:
-            u += t * integrate_finite(
-                lambda h: _bessel_j0(m0 * t * np.cos(h))
-                * np.cos(h)
-                * wave_block(mode.f1, mode.ell, r, t * np.sin(h), spec),
-                0.0,
-                0.5 * math.pi,
-                spec,
-                points=kink,
-            ).value
-        else:
-            u += _velocity_block(mode.f1, mode.ell, r, t, spec)
     return u

@@ -327,15 +327,11 @@ def integrate_semi_infinite_oscillatory(
     f: Callable[[np.ndarray], Any],
     period_hint: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    *,
-    start: float = 0.0,
-    first_boundary: float | None = None,
 ) -> IntegralResult:
-    """Integral of the array integrand f over [start, infinity) for
-    oscillatory-decaying f: integrate_oscillatory_batch with one member."""
-    return integrate_oscillatory_batch(
-        lambda x, k: f(x), period_hint, spec, start=start, first_boundary=first_boundary
-    )
+    """Integral of the array integrand f over [0, infinity) for
+    oscillatory-decaying f: integrate_oscillatory_batch with one member,
+    cells of half the period_hint from 0, and the cap LAMBDA_MAX."""
+    return integrate_oscillatory_batch(lambda x, k: f(x), period_hint, spec)
 
 
 def integrate_oscillatory_batch(

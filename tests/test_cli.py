@@ -393,6 +393,59 @@ _EXTREME = st.one_of(
 )
 
 
+# configuration values of the wrong JSON type
+_WRONG_TYPE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.just({"x": 1}),
+)
+_NUMBER = st.one_of(_EXTREME, _WRONG_TYPE)
+# counts stay small, extreme only in type: a count sets the work and the
+# memory that a run asks for
+_COUNT = st.one_of(st.integers(-2, 6), _EXTREME, _WRONG_TYPE)
+
+
+def _section(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_CONFIGS = _section(
+    physical=_section(H=_NUMBER, m=_NUMBER, n_dim=_COUNT),
+    mode=_section(
+        ell=st.one_of(st.integers(-1, 2), _EXTREME, _WRONG_TYPE),
+        m=_COUNT,
+        profile=st.one_of(
+            st.fixed_dictionaries(
+                {"kind": st.just("gaussian")},
+                optional={"sigma": _NUMBER, "power": _COUNT, "amplitude": _NUMBER},
+            ),
+            st.fixed_dictionaries(
+                {"kind": st.just("pionic")},
+                optional={"n": _COUNT, "Z": _COUNT, "normalization": _NUMBER},
+            ),
+            _WRONG_TYPE,
+        ),
+        velocity=st.one_of(
+            st.fixed_dictionaries({"kind": st.just("pionic_phase")}, optional={"E": _NUMBER}),
+            _WRONG_TYPE,
+        ),
+    ),
+    grid=_section(
+        r=st.one_of(st.lists(_EXTREME, min_size=1, max_size=2), _NUMBER,
+                    st.fixed_dictionaries({"start": _NUMBER, "stop": _NUMBER, "num": _COUNT})),
+        t=st.one_of(st.lists(_EXTREME, min_size=1, max_size=2), _NUMBER),
+        theta=_NUMBER, phi=_NUMBER,
+    ),
+    tolerance=_NUMBER,
+    decay=_section(
+        r=_NUMBER, t_window=st.one_of(st.lists(_EXTREME, min_size=2, max_size=2), _NUMBER),
+        n_samples=_COUNT, fit_poly_power=st.one_of(st.booleans(), _NUMBER),
+        discard_fraction=_NUMBER, tolerance=_NUMBER,
+    ),
+    quadrature=_section(abs_tol=_NUMBER, rel_tol=_NUMBER, max_subdivisions=_COUNT),
+    fd=_section(n_r=_COUNT, r_max=_NUMBER, cfl_safety=_NUMBER),
+)
+
+
 class TestExtremeInputs:
     @pytest.mark.parametrize("argv", [
         ["kernels", "--t", "1e300", "--r", "0.5"],
@@ -438,15 +491,83 @@ class TestExtremeInputs:
             argv += [f"--r={r!r}", f"--t={t!r}"]
         if command == "eval":
             argv += ["--jobs=1", "--method=riemann"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 1, 2, 3)
-        msg = err.getvalue()
-        # nothing on stderr but the one line that explains the exit code
-        assert msg == "" or (
-            msg.count("\n") == 1 and msg.startswith(("config error:", "numerical failure:"))
-        )
+        _assert_clean_exit(argv)
+
+    @given(
+        argv=st.sampled_from([
+            ["eval", "--method=hankel"],
+            ["eval", "--method=huygens_riemann"],
+            ["eval", "--method=huygens_hankel"],
+            ["compare", "--method=riemann", "--method-b=hankel"],
+            ["compare", "--method=riemann", "--method-b=huygens_riemann"],
+        ]),
+        H=_EXTREME, mass=st.one_of(st.none(), _EXTREME), r=_EXTREME, t=_EXTREME,
+        amplitude=_EXTREME, sigma=_EXTREME, ell=st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_other_methods_end_in_an_exit_code(self, argv, H, mass, r, t, amplitude, sigma, ell):
+        # mass None is the collapsing mass sqrt(2) H, which the Huygens
+        # methods require
+        mass = SQRT2 * H if mass is None else mass
+        _assert_clean_exit([
+            *argv, "--jobs=1", f"--H={H!r}", f"--mass={mass!r}", f"--ell={ell}",
+            f"--amplitude={amplitude!r}", f"--sigma={sigma!r}", f"--r={r!r}", f"--t={t!r}",
+        ])
+
+    @given(command=st.sampled_from(["eval", "compare", "decay", "kernels"]), cfg=_CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_config_file_ends_in_an_exit_code(self, tmp_path_factory, command, cfg):
+        path = tmp_path_factory.mktemp("cfg") / "config.json"
+        path.write_text(json.dumps(cfg))
+        _assert_clean_exit([command, "--jobs=1", f"--config={path}"])
+
+    def test_integer_setting_written_as_a_float_is_a_config_error(self, tmp_path, capsys):
+        # JSON 3.0 passed the schema's "integer" and then failed in range()
+        # or numpy with a TypeError traceback
+        for section, key, value in [
+            ("grid", "r", {"start": 0.5, "stop": 1.0, "num": 3.0}),
+            ("mode", "ell", 1.0),
+            ("quadrature", "max_subdivisions", 50.0),
+        ]:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({section: {key: value}}))
+            code, out, err = run(capsys, "eval", "--jobs=1", f"--config={path}")
+            assert code == 1 and out == ""
+            assert err.startswith("config error:") and "is not of type 'integer'" in err
+        path.write_text(json.dumps({"decay": {"n_samples": 4.0}}))
+        code, _, err = run(capsys, "decay", f"--config={path}")
+        assert code == 1 and "is not of type 'integer'" in err
+
+    def test_subdivision_limit_below_the_spec_minimum_is_a_config_error(self, tmp_path, capsys):
+        # QuadratureSpec requires >= 8; its InvalidParam escaped the config
+        # checks as a traceback
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"quadrature": {"max_subdivisions": 1}}))
+        code, out, err = run(capsys, "eval", "--jobs=1", f"--config={path}")
+        assert code == 1 and out == ""
+        assert err.startswith("config error: quadrature.max_subdivisions:")
+
+    def test_pionic_overflow_is_a_config_error(self, capsys):
+        # the Gamma functions of the Laguerre coefficients overflow at large
+        # n_quantum (from 170 at ell = 0); that raised a bare OverflowError
+        for extra in ([], ["--normalization=l2"]):
+            code, out, err = run(
+                capsys, "eval", "--jobs=1", "--profile=pionic", "--n-quantum=200", *extra
+            )
+            assert code == 1 and out == ""
+            assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def _assert_clean_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    msg = err.getvalue()
+    # nothing on stderr but the one line that explains the exit code
+    assert msg == "" or (
+        msg.count("\n") == 1 and msg.startswith(("config error:", "numerical failure:"))
+    )
 
 
 class TestProcess:

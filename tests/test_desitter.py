@@ -104,6 +104,9 @@ class TestPionicProfiles:
             pionic_profile(1, 0, 0)
         with pytest.raises(DomainError):
             pionic_profile(1, 0, 1, alpha=0.9)  # Z alpha beyond the exponent
+        for norm in (1.0, "l2"):
+            with pytest.raises(DomainError):
+                pionic_profile(200, 0, normalization=norm)  # Gamma beyond binary64
 
     def test_pionic_mode_velocity(self):
         mode = pionic_mode(2, 1, energy=0.7)

@@ -17,6 +17,7 @@ from dswave import (
     UnsupportedEll,
     gaussian_profile,
     hankel_transform,
+    integrate_finite,
     minkowski_kg,
     scaled_profile,
     solve_hankel,
@@ -28,7 +29,7 @@ from dswave import (
 )
 from dswave import DEFAULT_SPEC, minkowski
 from dswave.desitter import pionic_profile
-from dswave.minkowski import _hankel_block
+from dswave.minkowski import _blocks, _hankel_block
 
 GAUSS_BLOCK_L1 = {
     (0.7, 0.3): 0.286036796954091783,
@@ -162,6 +163,14 @@ class TestWaveBlock:
             _hankel_block(hat, 1, 0.7, 0.7, "cos", DEFAULT_SPEC)
         assert math.isfinite(abs(_hankel_block(hat, 1, 0.7, 0.9, "cos", DEFAULT_SPEC)))
 
+    def test_unresolved_tail_frequency_is_tolerance_not_met(self):
+        # at r = 4.4e16 the tail's half-period is below the float spacing at
+        # lam0, and the search for its first cell edge never ended
+        r = 4.3956687240143256e16
+        hat = gaussian_profile(1, sigma=r).hankel
+        with pytest.raises(ToleranceNotMet):
+            _hankel_block(hat, 1, r, 1.4, "cos", DEFAULT_SPEC)
+
     def test_profiles_take_arrays(self):
         xs = np.array([-0.4, 0.0, 0.7, 2.0])
         for prof in (gaussian_profile(1), gaussian_profile(2), pionic_profile(2, 1, 1)):
@@ -227,6 +236,24 @@ class TestCrossMethod:
         a = solve_riemann(mode, r, t)
         b = solve_recursive(mode, r, t)
         assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
+
+
+def test_blocks_velocity_is_the_time_integral_of_data():
+    # the spectral velocity block is the sin-weighted transform, which
+    # carries the time integral of the cos-weighted data block in closed
+    # form; the quadrature realization integrates its data block directly
+    for prof in (gaussian_profile(0), gaussian_profile(1), gaussian_profile(2),
+                 pionic_profile(2, 1, 1)):
+        quad_data, quad_velocity = _blocks(prof, DEFAULT_SPEC, False)
+        data, velocity = _blocks(prof, DEFAULT_SPEC, True)
+        for r in (0.7, 1.3):
+            for s in (0.4, 1.1, 2.5):
+                v = velocity(r, s)
+                want = integrate_finite(lambda tau: data(r, tau), 0.0, s, points=(r,)).value
+                assert abs(v - want) <= 1e-8 * (1.0 + abs(want))
+                d = data(r, s)
+                assert abs(quad_data(r, s) - d) <= 1e-7 * (1.0 + abs(d))
+                assert abs(quad_velocity(r, s) - v) <= 1e-7 * (1.0 + abs(v))
 
 
 class TestHankelTransform:

@@ -167,8 +167,8 @@ class TestSemiInfiniteOscillatory:
         from scipy.special import sici
 
         want = -1.0 / math.pi - 0.5 * math.pi + float(sici(math.pi)[0])
-        res = integrate_semi_infinite_oscillatory(
-            lambda x: np.cos(x) / (x * x),
+        res = integrate_oscillatory_batch(
+            lambda x, k: np.cos(x) / (x * x),
             2.0 * math.pi,
             start=math.pi,
             first_boundary=1.5 * math.pi,
