@@ -6,13 +6,14 @@ runs two methods on a shared grid and reports the worst discrepancy,
 classified prediction, and ``kernels`` tabulates K0, K1 and the assembly
 combination 2 K0 + n H K1.
 
-Configuration is a single JSON document validated against a schema that
-rejects unknown keys; every setting is also exposed as a flag, and flags win
-over the file.  CSV output uses the shortest decimal that round-trips a
-64-bit float and LF line endings; JSON reports embed the resolved
-configuration (minus execution-only keys) so a run can be repeated from its
-own output.  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, 3 tolerance failure in compare/decay.
+Configuration is a single JSON document, checked against one table of
+settings (``_SETTINGS``) that rejects unknown keys.  Each row gives a
+setting's type, bounds (work ceilings included), default, flag and help;
+flags win over the file.  CSV output uses the shortest decimal that
+round-trips a 64-bit float and LF line endings; JSON reports embed the
+resolved configuration (minus execution-only keys) so a run can be repeated
+from its own output.  Exit codes: 0 success, 1 configuration error, 2
+numerical failure, 3 tolerance failure in compare/decay.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
-import jsonschema
 
 from .desitter import (
+    ALPHA_FS,
     FieldGrid,
     _METHODS,
     decay_fit,
@@ -67,217 +67,149 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# Configuration
-
-_AXIS_SCHEMA = {
-    "oneOf": [
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        {
-            "type": "object",
-            "properties": {
-                "start": {"type": "number"},
-                "stop": {"type": "number"},
-                "num": {"type": "integer", "minimum": 2},
-            },
-            "required": ["start", "stop", "num"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_PROFILE_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "gaussian"},
-                "sigma": {"type": "number", "exclusiveMinimum": 0},
-                "power": {"type": ["integer", "null"]},
-                "amplitude": {"type": "number"},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "pionic"},
-                "n": {"type": "integer", "minimum": 1},
-                "Z": {"type": "integer", "minimum": 1},
-                "normalization": {"oneOf": [{"type": "number"}, {"const": "l2"}]},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "tabulated"},
-                "path": {"type": "string"},
-                "mu": {"type": ["number", "null"]},
-            },
-            "required": ["kind", "path"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_VELOCITY_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "none"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "pionic_phase"},
-                "E": {"type": ["number", "null"]},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-    ]
-}
+# Settings
 
 _METHOD_NAMES = sorted(_METHODS) + ["fd"]
+_COMMANDS = ("eval", "compare", "decay", "kernels")
 
-_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "physical": {
-            "type": "object",
-            "properties": {
-                "H": {"type": "number", "exclusiveMinimum": 0},
-                "m": {"type": "number", "minimum": 0},
-                "n_dim": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "mode": {
-            "type": "object",
-            "properties": {
-                "ell": {"type": "integer", "minimum": 0},
-                "m": {"type": "integer"},
-                "profile": _PROFILE_SCHEMA,
-                "velocity": _VELOCITY_SCHEMA,
-            },
-            "additionalProperties": False,
-        },
-        "grid": {
-            "type": "object",
-            "properties": {
-                "r": _AXIS_SCHEMA,
-                "t": _AXIS_SCHEMA,
-                "theta": {"type": "number"},
-                "phi": {"type": "number"},
-            },
-            "additionalProperties": False,
-        },
-        "method": {"enum": _METHOD_NAMES},
-        "method_b": {"enum": _METHOD_NAMES},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "decay": {
-            "type": "object",
-            "properties": {
-                "r": {"type": "number", "exclusiveMinimum": 0},
-                "t_window": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "n_samples": {"type": "integer", "minimum": 4},
-                "fit_poly_power": {"type": "boolean"},
-                "discard_fraction": {"type": "number", "minimum": 0, "maximum": 0.89},
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "quadrature": {
-            "type": "object",
-            "properties": {
-                "abs_tol": {"type": "number", "exclusiveMinimum": 0},
-                "rel_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_subdivisions": {"type": "integer", "minimum": 8},
-            },
-            "additionalProperties": False,
-        },
-        "fd": {
-            "type": "object",
-            "properties": {
-                "n_r": {"type": "integer", "minimum": 200},
-                "r_max": {"type": "number", "exclusiveMinimum": 0},
-                "cfl_safety": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "output": {
-            "type": "object",
-            "properties": {
-                "path": {"type": ["string", "null"]},
-                "format": {"enum": ["csv", "json", None]},
-            },
-            "additionalProperties": False,
-        },
-        "jobs": {"type": ["integer", "null"], "minimum": 1},
-    },
-    "additionalProperties": False,
-}
+# Work ceilings, each set from the cost per unit measured on a 2-core
+# machine (README, "Ceilings"): ~1 ms per eval point and ~80 us per kernels
+# point; the Y_ell^m normalization costs ~0.8 ms a point at ell = 1000 and
+# grows like ell^1.6 beyond; an RK4 step costs ~50 ns per FD cell
+_MAX_GRID_POINTS = 1_000_000
+_MAX_ELL = 1000
+_MAX_FD_STEPS = 100_000
 
-_DEFAULTS: dict[str, Any] = {
-    "physical": {"H": 1.0, "m": math.sqrt(2.0), "n_dim": 3},
-    "mode": {
-        "ell": 0,
-        "m": 0,
-        "profile": {"kind": "gaussian"},
-        "velocity": {"kind": "none"},
-    },
-    "grid": {"r": [1.0], "t": [0.0, 0.5, 1.0], "theta": 0.0, "phi": 0.0},
-    "method": "riemann",
-    "method_b": "hankel",
-    "tolerance": 1e-5,
-    "decay": {
-        "r": 1.0,
-        "t_window": [10.0, 30.0],
-        "n_samples": 21,
-        "fit_poly_power": False,
-        "discard_fraction": 0.0,
-        "tolerance": 0.1,
-    },
-    "quadrature": {},
-    "fd": {},
-    "output": {"path": None, "format": None},
-    "jobs": None,
-}
-
-_PROFILE_DEFAULTS: dict[str, dict[str, Any]] = {
-    "gaussian": {"sigma": 1.0, "power": None, "amplitude": 1.0},
-    "pionic": {"n": 1, "Z": 1, "normalization": 1.0},
-    "tabulated": {"mu": None},
-}
-
-_VELOCITY_DEFAULTS: dict[str, dict[str, Any]] = {
-    "none": {},
-    "pionic_phase": {"E": None},
-}
+# the default of a setting that must be given (a tabulated profile's path)
+_REQUIRED = object()
 
 
-def _merge(base: dict[str, Any], update: dict[str, Any]) -> dict[str, Any]:
-    """Recursive dict merge; discriminated-union values (anything carrying a
-    "kind") replace the base wholesale so stale keys of the other variant
-    cannot leak through."""
-    out = dict(base)
-    for key, val in update.items():
-        if isinstance(val, dict) and "kind" in val:
-            out[key] = copy.deepcopy(val)
-        elif isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    type: Any
+    bounds: str | None
+    default: Any
+    flag: str | None
+    help: str
+    commands: tuple[str, ...] = _COMMANDS
+
+    @property
+    def where(self) -> tuple[str, str | None]:
+        section, _, kind = self.section.partition("[")
+        return section, kind.rstrip("]") or None
+
+
+# Every setting, once.  section is "" for the top level, and
+# "mode.profile[pionic]" for a member of the union that mode.profile.kind
+# picks.  type is a _TYPES name, with "?" where null is also allowed, or a
+# list of choices; bounds is an interval such as "(0, 1]".  A flag is added
+# to each of the commands, in the table's order.
+_SETTINGS = [_Setting(*row) for row in (
+    # section, key, type, bounds, default, flag, help[, commands]
+    ("", "jobs", "integer?", "[1, 256]", None, "--jobs",
+     "worker processes (default: logical cores)"),
+    ("output", "path", "string?", None, None, "--out", "output path (default: stdout)"),
+    ("output", "format", ["csv", "json", None], None, None, "--format", "output format"),
+    ("physical", "H", "number", "(0, inf)", 1.0, "--H", "expansion rate"),
+    ("physical", "m", "number", "[0, inf)", math.sqrt(2.0), "--mass", "field mass"),
+    ("physical", "n_dim", "integer", "[1, 1000]", 3, "--n-dim", "spatial dimension"),
+    ("mode", "ell", "integer", f"[0, {_MAX_ELL}]", 0, "--ell", "angular degree"),
+    ("mode", "m", "integer", None, 0, "--m", "azimuthal index"),
+    ("grid", "theta", "number", None, 0.0, "--theta", "polar angle"),
+    ("grid", "phi", "number", None, 0.0, "--phi", "azimuthal angle"),
+    ("grid", "r", "axis", None, [1.0], "--r", "radii: list v1,v2,... or range a:b:n"),
+    ("grid", "t", "axis", None, [0.0, 0.5, 1.0], "--t", "times: list v1,v2,... or range a:b:n"),
+    ("mode.profile", "kind", ["gaussian", "pionic", "tabulated"], None, "gaussian", "--profile",
+     "initial data profile family"),
+    ("mode.profile[gaussian]", "sigma", "number", "(0, inf)", 1.0, "--sigma",
+     "gaussian width parameter"),
+    ("mode.profile[gaussian]", "power", "integer?", "(-inf, 1000]", None, "--power",
+     "gaussian radial power (default ell)"),
+    ("mode.profile[gaussian]", "amplitude", "number", None, 1.0, "--amplitude",
+     "gaussian amplitude"),
+    ("mode.profile[pionic]", "n", "integer", "[1, 1000]", 1, "--n-quantum",
+     "bound-state principal number"),
+    # Z alpha must stay below ell + 1/2
+    ("mode.profile[pionic]", "Z", "integer", f"[1, {int((_MAX_ELL + 0.5) / ALPHA_FS)}]", 1, "--Z",
+     "bound-state charge number"),
+    ("mode.profile[pionic]", "normalization", "normalization", None, 1.0, "--normalization",
+     "bound-state normalization constant or 'l2'"),
+    ("mode.profile[tabulated]", "path", "string", None, _REQUIRED, "--profile-file",
+     "tabulated profile CSV"),
+    ("mode.profile[tabulated]", "mu", "number?", None, None, "--mu",
+     "tabulated profile small-r exponent"),
+    ("mode.velocity", "kind", ["none", "pionic_phase"], None, "none", "--velocity",
+     "initial velocity family"),
+    ("mode.velocity[pionic_phase]", "E", "number?", None, None, "--energy",
+     "phase energy for velocity=pionic_phase (default: mass)"),
+    ("quadrature", "abs_tol", "number", "(0, inf)", DEFAULT_SPEC.abs_tol, "--abs-tol",
+     "quadrature absolute tolerance"),
+    ("quadrature", "rel_tol", "number", "(0, inf)", DEFAULT_SPEC.rel_tol, "--rel-tol",
+     "quadrature relative tolerance"),
+    ("quadrature", "max_subdivisions", "integer", "[8, 10000]", DEFAULT_SPEC.max_subdivisions,
+     None, "intervals per integral"),
+    ("fd", "n_r", "integer", "[200, 20000]", 2000, None, "radial cells"),
+    ("fd", "r_max", "number", "(0, inf)", None, None,
+     "outer radius (default: max r + max t + 0.5)"),
+    ("fd", "cfl_safety", "number", "(0, 1]", 0.2, None, "time step over radial step"),
+    ("", "method", _METHOD_NAMES, None, "riemann", "--method", "evaluation method",
+     ("eval", "compare")),
+    ("", "method_b", _METHOD_NAMES, None, "hankel", "--method-b", "second method", ("compare",)),
+    ("", "tolerance", "number", "(0, inf)", 1e-5, "--tolerance",
+     "gate on |a-b|/(1+max(|a|,|b|))", ("compare",)),
+    ("decay", "r", "number", "(0, inf)", 1.0, "--decay-r", "sampling radius", ("decay",)),
+    ("decay", "t_window", "pair", None, [10.0, 30.0], "--t-window", "fit window a,b", ("decay",)),
+    ("decay", "n_samples", "integer", "[4, 100000]", 21, "--n-samples", "samples in the window",
+     ("decay",)),
+    ("decay", "fit_poly_power", "boolean", None, False, "--fit-poly",
+     "also fit a (1+t)^p factor", ("decay",)),
+    ("decay", "discard_fraction", "number", "[0, 0.89]", 0.0, "--discard",
+     "fraction of low-envelope samples to drop", ("decay",)),
+    ("decay", "tolerance", "number", "(0, inf)", 0.1, "--decay-tolerance",
+     "relative gate on the fitted exponent (default 0.1)", ("decay",)),
+)]
+
+# the sections that the resolved configuration, and so every JSON report,
+# holds only as set: their defaults apply where they are used
+_SPARSE = ("quadrature", "fd")
+
+# (section, union member or None) -> {key: setting}, and section -> the keys
+# of its sub-sections
+_FIELDS: dict[tuple[str, str | None], dict[str, _Setting]] = {}
+_SUBSECTIONS: dict[str, set[str]] = {}
+for _s in _SETTINGS:
+    _FIELDS.setdefault(_s.where, {})[_s.key] = _s
+    _parent, _, _child = _s.where[0].rpartition(".")
+    if _child:
+        _SUBSECTIONS.setdefault(_parent, set()).add(_child)
+# the range form of an axis, checked as a section of its own
+_RANGE = {s.key: s for s in (
+    _Setting("", "start", "number", None, _REQUIRED, None, "first point"),
+    _Setting("", "stop", "number", None, _REQUIRED, None, "last point"),
+    _Setting("", "num", "integer", f"[2, {_MAX_GRID_POINTS}]", _REQUIRED, None, "points"),
+)}
+# the sections with a "kind" are unions
+_UNIONS = [section for (section, kind), fields in _FIELDS.items()
+           if kind is None and "kind" in fields]
+
+
+def _node(cfg: dict[str, Any], section: str) -> dict[str, Any]:
+    for part in filter(None, section.split(".")):
+        cfg = cfg.setdefault(part, {})
+    return cfg
+
+
+def _defaults() -> dict[str, Any]:
+    """Every section, with the defaults of the rows outside the union members
+    and the sparse sections."""
+    cfg: dict[str, Any] = {}
+    for s in _SETTINGS:
+        section, kind = s.where
+        node = _node(cfg, section)
+        if kind is None and section not in _SPARSE:
+            node[s.key] = copy.deepcopy(s.default)
+    return cfg
 
 
 def _expand_axis(value: Any, name: str) -> list[float]:
@@ -319,64 +251,101 @@ def _parse_normalization(text: str) -> Any:
         ) from None
 
 
-# built once: jsonschema.validate would check the schema and build a new
-# validator on every call.  Its "integer" is a JSON integer: the draft's
-# also admits 3.0, which range() and numpy reject
-_DRAFT = jsonschema.validators.validator_for(_SCHEMA)
-_VALIDATOR = jsonschema.validators.extend(_DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine(
-    "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
-))(_SCHEMA)
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# type -> (test, what a value that fails it is not, flag parser); an "axis"
+# and a "pair" are lists of numbers, an axis also a range
+_TYPES: dict[str, tuple[Callable[[Any], bool], str, Callable[[str], Any] | None]] = {
+    "number": (_is_number, "of type 'number'", float),
+    "integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), "of type 'integer'", int),
+    "boolean": (lambda v: isinstance(v, bool), "of type 'boolean'", None),
+    "string": (lambda v: isinstance(v, str), "of type 'string'", str),
+    "normalization": (
+        lambda v: v == "l2" or _is_number(v), "a number or 'l2'", _parse_normalization
+    ),
+    "axis": (lambda v: isinstance(v, list), "of type 'array', 'object'", _parse_axis_text),
+    "pair": (lambda v: isinstance(v, list), "of type 'array'", _parse_axis_text),
+}
+
+
+def _value_error(type_: Any, bounds: str | None, v: Any, path: str) -> tuple[str, str] | None:
+    """The (path, message) by which value v breaks a setting of this type and
+    bounds, or None.  The messages are those of JSON Schema validators."""
+    if isinstance(type_, list):
+        return None if v in type_ else (path, f"{v!r} is not one of {type_!r}")
+    if type_ == "axis" and isinstance(v, dict):
+        return _section_error(v, path, _RANGE)
+    nullable = type_.endswith("?")
+    if nullable and v is None:
+        return None
+    test, what, _ = _TYPES[type_.rstrip("?")]
+    if not test(v):
+        return path, f"{v!r} is not {what}" + (", 'null'" if nullable else "")
+    if type_ == "axis" and not v:
+        return path, f"{v!r} should be non-empty"
+    if type_ == "pair" and len(v) != 2:
+        return path, f"{v!r} is too " + ("short" if len(v) < 2 else "long")
+    if type_ in ("axis", "pair"):
+        for i, x in enumerate(v):
+            err = _value_error("number", None, x, f"{path}.{i}")
+            if err:
+                return err
+    elif bounds is not None:
+        lo, hi = (None if "inf" in p else json.loads(p) for p in bounds[1:-1].split(","))
+        if lo is not None and bounds[0] == "(" and v <= lo:
+            return path, f"{v!r} is less than or equal to the minimum of {lo!r}"
+        if lo is not None and bounds[0] == "[" and v < lo:
+            return path, f"{v!r} is less than the minimum of {lo!r}"
+        if hi is not None and v > hi:
+            return path, f"{v!r} is greater than the maximum of {hi!r}"
+    return None
+
+
+def _section_error(
+    value: Any, section: str, fields: dict[str, _Setting] | None = None
+) -> tuple[str, str] | None:
+    where = section or "<top level>"
+    if not isinstance(value, dict):
+        return where, f"{value!r} is not of type 'object'"
+    if fields is None:
+        fields = _FIELDS.get((section, None), {})
+    if section in _UNIONS:
+        # the kind picks the member's rows
+        if "kind" not in value:
+            return where, "'kind' is a required property"
+        err = _value_error(fields["kind"].type, None, value["kind"], f"{section}.kind")
+        if err:
+            return err
+        fields = {**fields, **_FIELDS.get((section, value["kind"]), {})}
+    children = _SUBSECTIONS.get(section, set())
+    extra = [k for k in value if k not in fields and k not in children]
+    if extra:
+        were = "was" if len(extra) == 1 else "were"
+        listed = ", ".join(repr(k) for k in extra)
+        return where, f"Additional properties are not allowed ({listed} {were} unexpected)"
+    missing = [k for k, s in fields.items() if s.default is _REQUIRED and k not in value]
+    if missing:
+        return where, f"{missing[0]!r} is a required property"
+    for key, v in value.items():
+        path = f"{section}.{key}" if section else key
+        err = (_section_error(v, path) if key in children
+               else _value_error(fields[key].type, fields[key].bounds, v, path))
+        if err:
+            return err
+    return None
 
 
 def _validate(cfg: dict[str, Any]) -> None:
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if exc is not None:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<top level>"
-        raise ConfigError(f"{path}: {exc.message}")
-
-
-# flag destination -> (section, key); None section means top level
-_OVERRIDES: dict[str, tuple[str | None, str]] = {
-    "H": ("physical", "H"),
-    "mass": ("physical", "m"),
-    "n_dim": ("physical", "n_dim"),
-    "ell": ("mode", "ell"),
-    "m": ("mode", "m"),
-    "r": ("grid", "r"),
-    "t": ("grid", "t"),
-    "theta": ("grid", "theta"),
-    "phi": ("grid", "phi"),
-    "method": (None, "method"),
-    "method_b": (None, "method_b"),
-    "tolerance": (None, "tolerance"),
-    "decay_r": ("decay", "r"),
-    "t_window": ("decay", "t_window"),
-    "n_samples": ("decay", "n_samples"),
-    "fit_poly": ("decay", "fit_poly_power"),
-    "discard": ("decay", "discard_fraction"),
-    "decay_tolerance": ("decay", "tolerance"),
-    "abs_tol": ("quadrature", "abs_tol"),
-    "rel_tol": ("quadrature", "rel_tol"),
-    "out": ("output", "path"),
-    "format": ("output", "format"),
-    "jobs": (None, "jobs"),
-}
-
-_PROFILE_FLAG_KEYS = {
-    "sigma": "sigma",
-    "power": "power",
-    "amplitude": "amplitude",
-    "n_quantum": "n",
-    "Z": "Z",
-    "normalization": "normalization",
-    "profile_file": "path",
-    "mu": "mu",
-}
+    """Check a configuration, whole or partial, against the settings table."""
+    err = _section_error(cfg, "")
+    if err is not None:
+        raise ConfigError(f"{err[0]}: {err[1]}")
 
 
 def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
-    cfg = copy.deepcopy(_DEFAULTS)
+    cfg = _defaults()
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -388,40 +357,36 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         _validate(user)
-        cfg = _merge(cfg, user)
+        # a section's keys replace the defaults one by one; below the top
+        # level, a union or an axis range is replaced whole, so no key of
+        # another kind stays behind
+        for key, val in user.items():
+            cfg[key] = {**cfg[key], **val} if isinstance(val, dict) else val
 
-    if getattr(args, "profile", None) is not None:
-        cfg["mode"]["profile"] = {"kind": args.profile}
-    for dest, key in _PROFILE_FLAG_KEYS.items():
-        val = getattr(args, dest, None)
+    # flags win over the file; a kind flag starts its union afresh, before
+    # the member flags that follow it in the table
+    for s in _SETTINGS:
+        val = getattr(args, s.flag.lstrip("-").replace("-", "_"), None) if s.flag else None
         if val is not None:
-            cfg["mode"]["profile"][key] = val
-    if getattr(args, "velocity", None) is not None:
-        cfg["mode"]["velocity"] = {"kind": args.velocity}
-    if getattr(args, "energy", None) is not None:
-        cfg["mode"]["velocity"]["E"] = args.energy
-    for dest, (section, key) in _OVERRIDES.items():
-        val = getattr(args, dest, None)
-        if val is None:
-            continue
-        if section is None:
-            cfg[key] = val
-        else:
-            cfg[section][key] = val
-
-    prof = cfg["mode"]["profile"]
-    kind = prof.get("kind")
-    if kind not in _PROFILE_DEFAULTS:
-        raise ConfigError(f"unknown profile kind {kind!r}")
-    cfg["mode"]["profile"] = {**_PROFILE_DEFAULTS[kind], **prof}
-    vel = cfg["mode"]["velocity"]
-    if vel.get("kind") not in _VELOCITY_DEFAULTS:
-        raise ConfigError(f"unknown velocity kind {vel.get('kind')!r}")
-    cfg["mode"]["velocity"] = {**_VELOCITY_DEFAULTS[vel["kind"]], **vel}
+            node = _node(cfg, s.where[0])
+            if s.key == "kind":
+                node.clear()
+            node[s.key] = val
+    for section in _UNIONS:
+        node = _node(cfg, section)
+        for s in _FIELDS.get((section, node["kind"]), {}).values():
+            if s.default is not _REQUIRED:
+                node.setdefault(s.key, s.default)
 
     _validate(cfg)
     if cfg["jobs"] is None:
         cfg["jobs"] = os.cpu_count() or 1
+    points = math.prod(a["num"] if isinstance(a, dict) else len(a)
+                       for a in (cfg["grid"]["r"], cfg["grid"]["t"]))
+    if points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid: {points} points (r x t) exceed the ceiling of {_MAX_GRID_POINTS}"
+        )
     cfg["grid"]["r"] = _expand_axis(cfg["grid"]["r"], "r")
     cfg["grid"]["t"] = _expand_axis(cfg["grid"]["t"], "t")
     # pre-flight the physical builds so every bad setting exits as a
@@ -438,6 +403,15 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
             raise ConfigError("field evaluation needs r > 0 on the whole grid")
         if any(t < 0.0 for t in cfg["grid"]["t"]):
             raise ConfigError("field evaluation needs t >= 0 on the whole grid")
+        if "fd" in methods:
+            fd = _build_fd(cfg)
+            # divided term by term: cfl_safety r_max may underflow to 0
+            steps = fd.t_end / fd.cfl_safety * (fd.n_r / fd.r_max)
+            if steps > _MAX_FD_STEPS:
+                raise ConfigError(
+                    f"fd: t_end n_r / (cfl_safety r_max) = {steps:.4g} time steps exceed "
+                    f"the ceiling of {_MAX_FD_STEPS}"
+                )
     return cfg
 
 
@@ -491,15 +465,10 @@ def _build_point_args(cfg: dict[str, Any]) -> tuple[ModeState, PhysicalParams, Q
 
 
 def _build_fd(cfg: dict[str, Any]) -> FDConfig:
-    fd = cfg["fd"]
+    fd = {s.key: s.default for s in _FIELDS[("fd", None)].values()} | cfg["fd"]
     t_end = max(cfg["grid"]["t"])
-    r_max = fd.get("r_max", max(cfg["grid"]["r"]) + t_end + 0.5)
-    return FDConfig(
-        r_max=r_max,
-        n_r=fd.get("n_r", 2000),
-        t_end=t_end,
-        cfl_safety=fd.get("cfl_safety", 0.2),
-    )
+    r_max = fd["r_max"] if fd["r_max"] is not None else max(cfg["grid"]["r"]) + t_end + 0.5
+    return FDConfig(r_max=r_max, n_r=fd["n_r"], t_end=t_end, cfl_safety=fd["cfl_safety"])
 
 
 def _embedded(cfg: dict[str, Any]) -> dict[str, Any]:
@@ -556,6 +525,8 @@ def _run_grid(cfg: dict[str, Any], method: str, jobs: int) -> FieldGrid:
         return evaluate_grid(
             mode, params, method, rs, ts, theta, phi, spec, fd_config=fd_config
         ).grid
+    from concurrent.futures import ProcessPoolExecutor
+
     runs = min(len(ts), math.ceil(4 * workers / len(rs)))
     tasks = [(r, part.tolist()) for r in rs for part in np.array_split(ts, runs)]
     with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(cfg, method)) as pool:
@@ -573,13 +544,6 @@ def _run_grid(cfg: dict[str, Any], method: str, jobs: int) -> FieldGrid:
 # ---------------------------------------------------------------------------
 # Output
 
-def _open_out(cfg: dict[str, Any]):
-    path = cfg["output"]["path"]
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _dump_json(fh: TextIO, doc: dict[str, Any]) -> None:
     json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
@@ -590,12 +554,12 @@ def _nan_to_none(x: float) -> float | None:
 
 
 def _emit(cfg: dict[str, Any], write: Callable[[TextIO], None]) -> None:
-    fh, owned = _open_out(cfg)
-    try:
+    path = cfg["output"]["path"]
+    if path is None:
+        write(sys.stdout)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         write(fh)
-    finally:
-        if owned:
-            fh.close()
 
 
 def _write_rows(
@@ -778,74 +742,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--jobs", type=int, help="worker processes (default: logical cores)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], help="output format")
-    p.add_argument("--H", type=float, help="expansion rate")
-    p.add_argument("--mass", type=float, help="field mass")
-    p.add_argument("--n-dim", type=int, dest="n_dim", help="spatial dimension")
-    p.add_argument("--ell", type=int, help="angular degree")
-    p.add_argument("--m", type=int, help="azimuthal index")
-    p.add_argument("--theta", type=float, help="polar angle")
-    p.add_argument("--phi", type=float, help="azimuthal angle")
-    p.add_argument("--r", type=_parse_axis_text, help="radii: list v1,v2,... or range a:b:n")
-    p.add_argument("--t", type=_parse_axis_text, help="times: list v1,v2,... or range a:b:n")
-    p.add_argument("--profile", choices=["gaussian", "pionic", "tabulated"],
-                   help="initial data profile family")
-    p.add_argument("--sigma", type=float, help="gaussian width parameter")
-    p.add_argument("--power", type=int, help="gaussian radial power (default ell)")
-    p.add_argument("--amplitude", type=float, help="gaussian amplitude")
-    p.add_argument("--n-quantum", type=int, dest="n_quantum", help="bound-state principal number")
-    p.add_argument("--Z", type=int, help="bound-state charge number")
-    p.add_argument("--normalization", type=_parse_normalization,
-                   help="bound-state normalization constant or 'l2'")
-    p.add_argument("--profile-file", dest="profile_file", help="tabulated profile CSV")
-    p.add_argument("--mu", type=float, help="tabulated profile small-r exponent")
-    p.add_argument("--velocity", choices=["none", "pionic_phase"],
-                   help="initial velocity family")
-    p.add_argument("--energy", type=float, help="phase energy for velocity=pionic_phase (default: mass)")
-    p.add_argument("--abs-tol", type=float, dest="abs_tol", help="quadrature absolute tolerance")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol", help="quadrature relative tolerance")
+def _flag_options(s: _Setting) -> dict[str, Any]:
+    if isinstance(s.type, list):
+        return {"choices": [c for c in s.type if c is not None]}
+    if s.type == "boolean":
+        return {"action": argparse.BooleanOptionalAction}
+    return {"type": _TYPES[s.type.rstrip("?")][2]}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dswave", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_eval = sub.add_parser("eval", help="tabulate a field over an (r, t) grid")
-    _add_common(p_eval)
-    p_eval.add_argument("--method", choices=_METHOD_NAMES, help="evaluation method")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_cmp = sub.add_parser("compare", help="run two methods on a shared grid")
-    _add_common(p_cmp)
-    p_cmp.add_argument("--method", choices=_METHOD_NAMES, help="first method")
-    p_cmp.add_argument("--method-b", choices=_METHOD_NAMES, dest="method_b",
-                       help="second method")
-    p_cmp.add_argument("--tolerance", type=float,
-                       help="gate on |a-b|/(1+max(|a|,|b|))")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_dec = sub.add_parser("decay", help="fit the late-time remainder envelope")
-    _add_common(p_dec)
-    p_dec.add_argument("--decay-r", type=float, dest="decay_r", help="sampling radius")
-    p_dec.add_argument("--t-window", type=_parse_axis_text, dest="t_window",
-                       help="fit window a,b")
-    p_dec.add_argument("--n-samples", type=int, dest="n_samples", help="samples in the window")
-    p_dec.add_argument("--fit-poly", action=argparse.BooleanOptionalAction,
-                       dest="fit_poly", default=None,
-                       help="also fit a (1+t)^p factor")
-    p_dec.add_argument("--discard", type=float, help="fraction of low-envelope samples to drop")
-    p_dec.add_argument("--decay-tolerance", type=float, dest="decay_tolerance",
-                       help="relative gate on the fitted exponent (default 0.1)")
-    p_dec.set_defaults(func=cmd_decay)
-
-    p_ker = sub.add_parser("kernels", help="tabulate K0, K1 and the assembly combination")
-    _add_common(p_ker)
-    p_ker.set_defaults(func=cmd_kernels)
+    for name, func, text in (
+        ("eval", cmd_eval, "tabulate a field over an (r, t) grid"),
+        ("compare", cmd_compare, "run two methods on a shared grid"),
+        ("decay", cmd_decay, "fit the late-time remainder envelope"),
+        ("kernels", cmd_kernels, "tabulate K0, K1 and the assembly combination"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON configuration file")
+        for s in _SETTINGS:
+            if s.flag and name in s.commands:
+                p.add_argument(s.flag, help=s.help, **_flag_options(s))
+        p.set_defaults(func=func)
     return parser
+
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -9,9 +9,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
-import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +25,7 @@ from dswave import (
     kernel_eval,
     pionic_mode,
 )
-from dswave.cli import _SCHEMA, main
+from dswave.cli import main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -197,6 +197,61 @@ class TestEval:
         assert doc["config"]["physical"]["m"] == 2.0  # flag wins
         assert doc["config"]["mode"]["profile"]["sigma"] == 0.5
 
+    def test_default_config_is_embedded_whole(self, capsys):
+        code, out, _ = run(capsys, "eval", "--format", "json", "--jobs", "1")
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "decay": {
+                "discard_fraction": 0.0, "fit_poly_power": False, "n_samples": 21, "r": 1.0,
+                "t_window": [10.0, 30.0], "tolerance": 0.1,
+            },
+            "fd": {},
+            "grid": {"phi": 0.0, "r": [1.0], "t": [0.0, 0.5, 1.0], "theta": 0.0},
+            "method": "riemann",
+            "method_b": "hankel",
+            "mode": {
+                "ell": 0, "m": 0,
+                "profile": {"amplitude": 1.0, "kind": "gaussian", "power": None, "sigma": 1.0},
+                "velocity": {"kind": "none"},
+            },
+            "physical": {"H": 1.0, "m": 1.4142135623730951, "n_dim": 3},
+            "quadrature": {},
+            "tolerance": 1e-05,
+        }
+
+    def test_pionic_config_with_file_override_is_embedded_whole(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        # --profile starts the profile afresh: the file's sigma does not stay
+        path.write_text(json.dumps({
+            "physical": {"H": 2.0},
+            "mode": {"ell": 1, "profile": {"kind": "gaussian", "sigma": 0.5}},
+            "quadrature": {"rel_tol": 1e-7}, "fd": {"n_r": 400},
+        }))
+        code, out, _ = run(
+            capsys, "eval", "--format", "json", "--jobs", "1", f"--config={path}",
+            "--profile", "pionic", "--n-quantum", "2", "--velocity", "pionic_phase",
+            "--mass", repr(2 * SQRT2), "--r", "0.5,1.0", "--t", "0:1:3",
+        )
+        assert code == 0
+        assert json.loads(out)["config"] == {
+            "decay": {
+                "discard_fraction": 0.0, "fit_poly_power": False, "n_samples": 21, "r": 1.0,
+                "t_window": [10.0, 30.0], "tolerance": 0.1,
+            },
+            "fd": {"n_r": 400},
+            "grid": {"phi": 0.0, "r": [0.5, 1.0], "t": [0.0, 0.5, 1.0], "theta": 0.0},
+            "method": "riemann",
+            "method_b": "hankel",
+            "mode": {
+                "ell": 1, "m": 0,
+                "profile": {"Z": 1, "kind": "pionic", "n": 2, "normalization": 1.0},
+                "velocity": {"E": None, "kind": "pionic_phase"},
+            },
+            "physical": {"H": 2.0, "m": 2.8284271247461903, "n_dim": 3},
+            "quadrature": {"rel_tol": 1e-07},
+            "tolerance": 1e-05,
+        }
+
 
 class TestConfigErrors:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -228,10 +283,6 @@ class TestConfigErrors:
 
     def test_missing_config_file(self, capsys):
         assert run(capsys, "eval", "--config", "/nonexistent.json")[0] == 1
-
-    def test_schema_is_valid(self):
-        # the validator is built once at import, without a schema check
-        jsonschema.validators.validator_for(_SCHEMA).check_schema(_SCHEMA)
 
     def test_bad_flag_value_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -399,9 +450,10 @@ _WRONG_TYPE = st.one_of(
     st.just({"x": 1}),
 )
 _NUMBER = st.one_of(_EXTREME, _WRONG_TYPE)
-# counts stay small, extreme only in type: a count sets the work and the
-# memory that a run asks for
-_COUNT = st.one_of(st.integers(-2, 6), _EXTREME, _WRONG_TYPE)
+# a count sets the work and the memory that a run asks for: small ones run,
+# and those above every count's ceiling (at most 10**6) are config errors.
+# Between the two a count asks for minutes of honest work.
+_COUNT = st.one_of(st.integers(-2, 6), st.integers(10**6 + 1, 10**12), _EXTREME, _WRONG_TYPE)
 
 
 def _section(**fields):
@@ -557,6 +609,29 @@ class TestExtremeInputs:
             assert code == 1 and out == ""
             assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, config", [
+        (["eval", "--r", "0:1:1180591620717411303424", "--jobs", "1"], None),
+        (["eval", "--r", "0.5:1:100000000", "--t", "1"], None),
+        (["eval", "--r", "0.5:1:1000", "--t", "0:1:1001", "--jobs", "1"], None),
+        (["eval", "--ell", "10000000", "--sigma", "0.5"], None),
+        (["eval", "--method", "fd", "--jobs", "1"], {"fd": {"cfl_safety": 1e-3}}),
+        (["compare", "--method-b", "fd", "--jobs", "1"], {"fd": {"cfl_safety": 1e-3}}),
+        (["decay", "--n-samples", "1000000"], None),
+        (["eval", "--profile", "pionic", f"--Z={10**400}"], None),
+        (["eval", "--power", "100000"], None),
+        (["kernels", "--n-dim", "5000"], None),
+    ])
+    def test_work_beyond_a_ceiling_is_a_config_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, f"--config={path}"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
 
 def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -589,25 +664,29 @@ class TestProcess:
     def test_no_scipy_on_the_start_up_path(self):
         # scipy serves only tabulated profiles, minkowski_kg and the FD
         # oracle; the import, the default eval, the collapsing-mass kernels
-        # (log case: Gamma and digamma) and the late-time endpoint layer
-        # (t = 5, 10) load none of it
+        # (log case: Gamma and digamma), the late-time endpoint layer
+        # (t = 5, 10), compare and decay load none of it, nor jsonschema
         script = textwrap.dedent("""
             import contextlib, io, sys
 
-            def scipy_modules():
-                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            def unwanted_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
 
             import dswave.cli
-            assert not scipy_modules(), scipy_modules()
+            assert not unwanted_modules(), unwanted_modules()
+            # the process pool is imported by a run with more than one worker
+            assert "concurrent.futures.process" not in sys.modules
             for argv in (
                 ["eval"],
                 ["kernels", "--mass", repr(2 ** 0.5), "--r", "0:0.9:10", "--t", "3:12:10"],
                 ["eval", "--t", "5,10"],
+                ["compare", "--method", "huygens_riemann", "--method-b", "riemann", "--jobs", "1"],
+                ["decay", "--mass", "2.0", "--t-window", "14,34", "--n-samples", "5"],
             ):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = dswave.cli.main(argv)
-                assert code == 0, (argv, code)
-                assert not scipy_modules(), (argv, scipy_modules())
+                assert code in (0, 3), (argv, code)
+                assert not unwanted_modules(), (argv, unwanted_modules())
         """)
         proc = python("-c", script, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=300)
