@@ -56,6 +56,7 @@ from .kernels import (
 )
 from .minkowski import (
     ModeState,
+    _blocks,
     gaussian_profile,
     scaled_profile,
     tabulated_profile,
@@ -74,8 +75,8 @@ _COMMANDS = ("eval", "compare", "decay", "kernels")
 
 # Work ceilings, each set from the cost per unit measured on a 2-core
 # machine (README, "Ceilings"): ~1 ms per eval point and ~80 us per kernels
-# point; the Y_ell^m normalization costs ~0.8 ms a point at ell = 1000 and
-# grows like ell^1.6 beyond; an RK4 step costs ~50 ns per FD cell
+# point; the Y_ell^m recurrence costs ~0.25 ms a point at ell = 1000 and
+# grows linearly beyond; an RK4 step costs ~50 ns per FD cell
 _MAX_GRID_POINTS = 1_000_000
 _MAX_ELL = 1000
 _MAX_FD_STEPS = 100_000
@@ -391,7 +392,7 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
     cfg["grid"]["t"] = _expand_axis(cfg["grid"]["t"], "t")
     # pre-flight the physical builds so every bad setting exits as a
     # configuration error rather than surfacing mid-run
-    _, params, _ = _build_point_args(cfg)
+    mode, params, spec = _build_point_args(cfg)
     if args.command in ("eval", "compare"):
         methods = [cfg["method"]] + ([cfg["method_b"]] if args.command == "compare" else [])
         for meth in methods:
@@ -399,6 +400,11 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
                 raise ConfigError(
                     f"method {meth!r} requires the collapsing mass m = sqrt(2) H"
                 )
+            if meth.endswith("hankel"):
+                try:
+                    _blocks(mode.f0, spec, spectral=True)
+                except InvalidParam as exc:
+                    raise ConfigError(f"method {meth!r}: {exc}") from None
         if any(r <= 0.0 for r in cfg["grid"]["r"]):
             raise ConfigError("field evaluation needs r > 0 on the whole grid")
         if any(t < 0.0 for t in cfg["grid"]["t"]):

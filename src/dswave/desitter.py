@@ -532,8 +532,7 @@ def pionic_profile(
 
     normalization is either a constant C or "l2" for a unit spatial L^2
     norm.  The spectral transform of order ell + 1/2 is attached in closed
-    form (Laplace-type integral of each Laguerre monomial), so spectral
-    evaluations never fall back to numerical transforms.
+    form (Laplace-type integral of each Laguerre monomial).
     """
     if not isinstance(n_quantum, int) or n_quantum < 1:
         raise InvalidParam(f"n_quantum must be a positive integer, got {n_quantum}")

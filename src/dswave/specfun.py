@@ -25,6 +25,7 @@ __all__ = [
     "bessel_j_half",
     "bessel_trig_split",
     "assoc_laguerre",
+    "legendre_p",
     "spherical_harmonic",
 ]
 
@@ -582,16 +583,19 @@ def assoc_laguerre(k: int, alpha: float, x):
     return l[()]
 
 
-def _legendre_pmm(m: int, x: float) -> float:
-    # P_m^m(x) = (-1)^m (2m-1)!! (1-x^2)^{m/2}, Condon-Shortley included
+def legendre_p(ell: int, x, m: int = 0):
+    """Associated Legendre function P_ell^m(x), 0 <= m <= ell, with the
+    Condon-Shortley phase: upward recurrence in the degree from P_m^m =
+    (-1)^m (2m-1)!! (1-x^2)^{m/2}.  x may be an array when m = 0."""
     p = 1.0
-    s2 = max(1.0 - x * x, 0.0)
     if m > 0:
-        fact = 1.0
-        somx2 = math.sqrt(s2)
-        for _ in range(m):
-            p *= -fact * somx2
-            fact += 2.0
+        somx2 = math.sqrt(max(1.0 - x * x, 0.0))
+        for j in range(m):
+            p *= -(2 * j + 1) * somx2
+    if ell > m:
+        pm1, p = p, x * (2 * m + 1) * p
+        for n in range(m + 2, ell + 1):
+            pm1, p = p, ((2 * n - 1) * x * p - (n + m - 1) * pm1) / (n - m)
     return p
 
 
@@ -607,19 +611,10 @@ def spherical_harmonic(ell: int, m: int, theta: float, phi: float) -> complex:
         raise IndexError(f"|m|={abs(m)} exceeds ell={ell}")
     ell, m = int(ell), int(m)
     mm = abs(m)
-    x = math.cos(theta)
-
-    p = _legendre_pmm(mm, x)
-    if ell > mm:
-        pm1, p = p, x * (2 * mm + 1) * p
-        for n in range(mm + 2, ell + 1):
-            pm1, p = p, ((2 * n - 1) * x * p - (n + mm - 1) * pm1) / (n - mm)
-    norm = math.sqrt(
-        (2 * ell + 1)
-        / (4.0 * math.pi)
-        * math.factorial(ell - mm)
-        / math.factorial(ell + mm)
-    )
+    p = legendre_p(ell, math.cos(theta), mm)
+    # (ell-|m|)!/(ell+|m|)! as the integer product of ell-|m|+1 ... ell+|m|:
+    # the factorials themselves leave binary64 from ell = 171
+    norm = math.sqrt((2 * ell + 1) / math.prod(range(ell - mm + 1, ell + mm + 1)) / (4.0 * math.pi))
     y = norm * p * cmath.exp(1j * mm * phi)
     if m < 0:
         y = ((-1) ** mm) * y.conjugate()

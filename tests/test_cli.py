@@ -276,6 +276,25 @@ class TestConfigErrors:
         assert code == 1
         assert "sqrt(2)" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--method", "hankel"],
+        ["eval", "--method", "huygens_hankel", "--mass", repr(SQRT2)],
+        ["compare", "--method", "riemann"],  # --method-b defaults to hankel
+    ])
+    def test_tabulated_profile_on_a_spectral_method(self, tmp_path, capsys, argv):
+        # a tabulated profile has no closed-form transform: the spectral
+        # methods refuse it before any work
+        rs = [0.02 * (i + 1) for i in range(300)]
+        path = tmp_path / "profile.csv"
+        path.write_text("".join(f"{r!r},{r * math.exp(-r * r / 2)!r}\n" for r in rs))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--ell", "1", "--profile", "tabulated",
+                             "--profile-file", str(path), "--jobs", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("config error: method ") and err.count("\n") == 1
+        assert "closed-form transform" in err
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

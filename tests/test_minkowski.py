@@ -16,7 +16,6 @@ from dswave import (
     ToleranceNotMet,
     UnsupportedEll,
     gaussian_profile,
-    hankel_transform,
     integrate_finite,
     minkowski_kg,
     scaled_profile,
@@ -29,7 +28,7 @@ from dswave import (
 )
 from dswave import DEFAULT_SPEC, minkowski
 from dswave.desitter import pionic_profile
-from dswave.minkowski import _blocks, _hankel_block
+from dswave.minkowski import _blocks, _hankel_block, _kirchhoff_block
 
 GAUSS_BLOCK_L1 = {
     (0.7, 0.3): 0.286036796954091783,
@@ -38,6 +37,23 @@ GAUSS_BLOCK_L1 = {
 GAUSS_BLOCK_L3_08_11 = -0.085065360645082075
 PIONIC_BLOCK_21_09_06 = 0.391752537012829497
 KG_GAUSS_09_14_M13 = -0.363735600818032037  # ell=0 gaussian data, zero velocity
+GAUSS_HAT_S2 = {  # (ell, k, lam): power ell + 2k, sigma = 2
+    (0, 1, 0.5): 0.0629131161221306942,
+    (0, 1, 2.3): 0.0410392336529182784,
+    (0, 1, 60): -8.02049612722409934e-194,
+    (1, 1, 0.5): 0.0132184472703412895,
+    (1, 1, 2.3): 0.05173175827791297,
+    (1, 1, 60): -1.20039197890728577e-192,
+    (3, 2, 0.5): 0.00102096720674582132,
+    (3, 2, 2.3): 0.0833145270939257088,
+    (3, 2, 60): 5.96230253131706797e-188,
+    (2, 10, 0.5): 614.598755550704368,
+    (2, 10, 2.3): 385.525583064271957,
+    (2, 10, 60): 2.01297852296441479e-170,
+    (170, 0, 0.5): 2.55579210349162625e-155,
+    (170, 0, 2.3): 1.36185322026178848e-42,
+    (170, 0, 60): 30830.6599517844879,
+}
 
 
 class TestProfiles:
@@ -46,6 +62,32 @@ class TestProfiles:
         lam = 1.7
         want = lam**2.5 * math.exp(-(lam**2) / 3.2) / (1.6**3.5)
         assert prof.hankel(lam) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("args,want", sorted(GAUSS_HAT_S2.items()))
+    def test_gaussian_transform_every_power(self, args, want):
+        # k! lam^nu e^{-x} L_k^nu(x) / (2^{nu+1} sigma^{nu+k+1}) in one
+        # exponent: at ell = 170 lam^nu alone leaves binary64 from lam ~ 63
+        ell, k, lam = args
+        prof = gaussian_profile(ell, sigma=2.0, power=ell + 2 * k)
+        assert prof.hankel(lam) == pytest.approx(want, rel=1e-12)
+
+    def test_gaussian_transform_takes_arrays_and_vanishes_at_zero_and_far_out(self):
+        # the spectral tail reaches lam ~ 1e5, where L_40 alone overflows;
+        # there the Gaussian factor has already rounded the value to zero
+        prof = gaussian_profile(1, sigma=1.0, power=81)
+        lams = np.array([0.0, 0.5, 3.0, 1e5])
+        got = prof.hankel(lams)
+        assert got[0] == 0.0 and got[3] == 0.0
+        assert got[1:3] == pytest.approx([prof.hankel(0.5), prof.hankel(3.0)], rel=1e-15)
+
+    def test_gaussian_transform_beyond_binary64_is_absent(self):
+        # the transform peaks near exp(2950) at ell = 1000, sigma = 1; the
+        # profile itself still serves the quadrature realization
+        prof = gaussian_profile(1000)
+        assert prof.hankel is None
+        with pytest.raises(InvalidParam):
+            _blocks(prof, DEFAULT_SPEC, spectral=True)
+        assert gaussian_profile(300).hankel is not None
 
     def test_gaussian_power_parity_rule(self):
         with pytest.raises(InvalidParam):
@@ -212,6 +254,17 @@ class TestCrossMethod:
             b = solve_hankel(mode, r, t)
             assert abs(a - b) <= 1e-7 * (1.0 + abs(a))
 
+    @pytest.mark.parametrize("power", [3, 5])
+    def test_riemann_vs_hankel_gaussian_higher_power(self, power):
+        # the Laguerre closed form of the transform, with and without velocity
+        f0 = gaussian_profile(1, power=power)
+        for mode in (ModeState(ell=1, m=0, f0=f0),
+                     ModeState(ell=1, m=0, f0=f0, f1=scaled_profile(f0, 0.5j))):
+            for r, t in [(0.6, 0.4), (1.2, 1.3), (0.5, 2.2)]:
+                a = solve_riemann(mode, r, t)
+                b = solve_hankel(mode, r, t)
+                assert abs(a - b) <= 1e-9 * (1.0 + abs(a))
+
     def test_riemann_vs_hankel_pionic_with_velocity(self):
         f0 = pionic_profile(2, 1, 1)
         mode = ModeState(ell=1, m=0, f0=f0, f1=scaled_profile(f0, -0.5j))
@@ -239,11 +292,11 @@ class TestCrossMethod:
 
 
 def test_blocks_velocity_is_the_time_integral_of_data():
-    # the spectral velocity block is the sin-weighted transform, which
-    # carries the time integral of the cos-weighted data block in closed
-    # form; the quadrature realization integrates its data block directly
+    # each realization's velocity block is one formula (the sin-weighted
+    # transform; Kirchhoff's integral), and each is the time integral of
+    # the data blocks
     for prof in (gaussian_profile(0), gaussian_profile(1), gaussian_profile(2),
-                 pionic_profile(2, 1, 1)):
+                 gaussian_profile(3), gaussian_profile(5), pionic_profile(2, 1, 1)):
         quad_data, quad_velocity = _blocks(prof, DEFAULT_SPEC, False)
         data, velocity = _blocks(prof, DEFAULT_SPEC, True)
         for r in (0.7, 1.3):
@@ -256,16 +309,26 @@ def test_blocks_velocity_is_the_time_integral_of_data():
                 assert abs(quad_velocity(r, s) - v) <= 1e-7 * (1.0 + abs(v))
 
 
-class TestHankelTransform:
-    def test_matches_closed_form_gaussian(self):
-        prof = gaussian_profile(1, sigma=1.0)
-        for lam in (0.5, 2.0):
-            got = hankel_transform(prof, 1, lam)
-            assert got == pytest.approx(prof.hankel(lam), rel=1e-8)
+class TestKirchhoffBlock:
+    def test_array_of_times_equals_scalar_calls(self):
+        # one batch of integrals, each refined as it would be alone
+        ts = np.array([[0.0, 0.3, 0.9], [1.1, 2.5, 4.0]])
+        for prof, ell in ((gaussian_profile(0), 0), (gaussian_profile(3), 3),
+                          (pionic_profile(2, 1, 1), 1)):
+            got = _kirchhoff_block(prof, ell, 0.9, ts, DEFAULT_SPEC)
+            assert got.shape == ts.shape
+            assert got[0, 0] == 0.0
+            for t, g in zip(ts.ravel(), got.ravel()):
+                one = _kirchhoff_block(prof, ell, 0.9, float(t), DEFAULT_SPEC)
+                assert abs(g - one) <= 1e-14 * abs(one)
 
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(DomainError):
-            hankel_transform(gaussian_profile(0), 0, 0.0)
+    def test_monopole_is_the_spherical_mean(self):
+        # ell = 0, data (0, e^{-s^2}): (1/2r) int_{|r-t|}^{r+t} s e^{-s^2} ds
+        for r, t in [(0.8, 0.3), (0.8, 2.1)]:
+            lo, hi = abs(r - t), r + t
+            want = (math.exp(-lo * lo) - math.exp(-hi * hi)) / (4.0 * r)
+            got = _kirchhoff_block(gaussian_profile(0), 0, r, t, DEFAULT_SPEC)
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestMinkowskiKG:

@@ -93,6 +93,16 @@ BESSEL_HALF_CASES = {
 LAGUERRE_1_2MU_08 = 3.19985791838587319  # k=1, alpha=2 mu(ell=1, Z=2), x=0.8
 Y_3_2_07_11 = complex(-0.190910202916476289, 0.262276838539064408)
 Y_3_M2_07_11 = complex(-0.190910202916476289, -0.262276838539064408)
+Y_HIGH_ELL_07_11 = {
+    (170, 0): complex(0.271485303756135178, 0.0),
+    (170, 2): complex(0.162136593165679806, -0.222746990036952774),
+    (171, 0): complex(0.393879381046307436, 0.0),
+    (171, 2): complex(0.232171761944933611, -0.318962919690585724),
+    (200, 0): complex(0.0931167338066718657, 0.0),
+    (200, 2): complex(0.0521119335111264112, -0.0715925757903878986),
+    (1000, 0): complex(-0.210688839575538246, 0.0),
+    (1000, 2): complex(-0.124459838071451644, 0.170985795184270966),
+}
 
 
 class TestHyp2f1:
@@ -285,6 +295,13 @@ class TestSphericalHarmonic:
         assert spherical_harmonic(3, -2, 0.7, 1.1) == pytest.approx(
             Y_3_M2_07_11, rel=1e-12
         )
+
+    @pytest.mark.parametrize("args,want", sorted(Y_HIGH_ELL_07_11.items()))
+    def test_frozen_references_beyond_the_factorial_range(self, args, want):
+        # (ell + |m|)! leaves binary64 from ell = 171; the normalization
+        # divides by the product ell - |m| + 1 ... ell + |m| instead
+        ell, m = args
+        assert spherical_harmonic(ell, m, 0.7, 1.1) == pytest.approx(want, rel=1e-12)
 
     def test_monopole_is_constant(self):
         want = 0.5 / math.sqrt(math.pi)

@@ -235,6 +235,13 @@ def gen_scalars() -> None:
     print(f"Y_3_2_07_11 = {cfmt(y32)}")
     y3m2 = mp.spherharm(3, -2, mp.mpf("0.7"), mp.mpf("1.1"))
     print(f"Y_3_M2_07_11 = {cfmt(y3m2)}")
+    # degrees whose factorials leave binary64
+    print("Y_HIGH_ELL_07_11 = {")
+    for ell in (170, 171, 200, 1000):
+        for m in (0, 2):
+            v = mp.spherharm(ell, m, mp.mpf("0.7"), mp.mpf("1.1"))
+            print(f"    ({ell}, {m}): {cfmt(v)},")
+    print("}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +280,40 @@ def gen_pionic() -> None:
             maxdegree=10,
         )
         print(f"    {lam}: {ffmt(v)},")
+    print("}")
+
+
+# ---------------------------------------------------------------------------
+# Gaussian transforms
+
+
+def gaussian_hat(ell: int, k: int, sigma, lam):
+    """int_0^inf rho^{ell+2k} e^{-sigma rho^2} J_{ell+1/2}(lam rho) rho^{3/2} drho
+    in closed form (DLMF 10.22.51)."""
+    nu = mp.mpf(ell) + mp.mpf(1) / 2
+    x = lam**2 / (4 * sigma)
+    return (mp.factorial(k) * lam**nu * mp.e ** (-x) * mp.laguerre(k, nu, x)
+            / (2 ** (nu + 1) * sigma ** (nu + k + 1)))
+
+
+def gen_gaussian_hat() -> None:
+    header("Gaussian transforms (tests/test_minkowski.py)")
+    sigma = mp.mpf(2)
+    print("GAUSS_HAT_S2 = {  # (ell, k, lam): power ell + 2k, sigma = 2")
+    for ell, k in [(0, 1), (1, 1), (3, 2), (2, 10), (170, 0)]:
+        for lam in ("0.5", "2.3", "60"):
+            lam_ = mp.mpf(lam)
+            v = gaussian_hat(ell, k, sigma, lam_)
+            if lam != "60" and ell < 170:
+                # the closed form against the defining integral, where the
+                # integral does not cancel to many orders below its integrand
+                q = mp.quad(
+                    lambda rho: rho ** (ell + 2 * k + mp.mpf("1.5")) * mp.e ** (-sigma * rho**2)
+                    * mp.besselj(ell + mp.mpf(1) / 2, lam_ * rho),
+                    [0, 1, 2, 4, 8, mp.inf],
+                )
+                assert abs(q - v) <= mp.mpf(10) ** -30 * abs(v), (ell, k, lam)
+            print(f"    ({ell}, {k}, {lam}): {ffmt(v)},")
     print("}")
 
 
@@ -398,6 +439,7 @@ def main() -> None:
     gen_kernels()
     gen_scalars()
     gen_pionic()
+    gen_gaussian_hat()
     gen_blocks()
     gen_minkowski_kg()
     gen_ita()
