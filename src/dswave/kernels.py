@@ -73,6 +73,17 @@ class PhysicalParams:
         """Principal sqrt(n^2 H^2/4 - m^2); imaginary part >= 0."""
         return cmath.sqrt(complex(0.25 * self.n**2 * self.H**2 - self.m**2, 0.0))
 
+    @cached_property
+    def delta(self) -> complex:
+        """H - 2M: for real M (4 m^2 - (n^2 - 1) H^2) / (H + 2M), its numerator
+        formed exactly from the binary64 m and H, as near the collapsing mass
+        H - 2M itself is all rounding; for imaginary M nothing cancels."""
+        if self.M.real == 0.0:
+            return self.H - 2.0 * self.M
+        (a, b), (c, d) = self.m.as_integer_ratio(), self.H.as_integer_ratio()
+        num = (4 * a * a * d * d - (self.n**2 - 1) * c * c * b * b) / (b * b * c * c)  # over H^2
+        return num * self.H / (1.0 + 2.0 * self.M / self.H)
+
     @property
     def is_huygensian(self) -> bool:
         """Whether m sits on the collapsing mass sqrt(n^2 - 1)/2 * H."""
@@ -167,7 +178,7 @@ def kernel_eval(r, t, params: PhysicalParams) -> KernelEval:
     num = np.maximum(num, 0.0)
     z = num / d
     one_minus = 4.0 * q / d  # exact complement of z, no cancellation
-    return _assemble(params, rs, ts, q, hs * hs, d / q, np.log(d), z, one_minus)
+    return _assemble(params, rs, ts, q, hs * hs, u, d / q, np.log(d), z, one_minus)
 
 
 def _assemble(
@@ -176,22 +187,24 @@ def _assemble(
     t: np.ndarray,
     q: np.ndarray,
     hr2: np.ndarray,
+    u: np.ndarray,
     d_over_q: np.ndarray,
     ln_d: np.ndarray,
     z: np.ndarray,
     one_minus: np.ndarray,
 ) -> KernelEval:
-    H = params.H
-    mh = params.M / H
-    m_ = params.M
-    a1 = 0.5 - mh
-    a2 = 1.5 - mh
+    H, m_, delta = params.H, params.M, params.delta
+    mh = m_ / H
+    # exact H - 2M; the bracket has H - M = M + delta and 1 - (H r)^2 = u (2 - u)
+    # (u = 1 - H r), so near the collapsing mass it is O(q + delta), not rounding
+    a1 = delta / (2.0 * H)
+    a2 = 1.0 + a1
     f1 = hyp2f1(a1, a1, 1.0, z, one_minus_z=one_minus)
     f2 = hyp2f1(a2, a2, 2.0, z, one_minus_z=one_minus)
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = np.exp(-mh * _LN4 + m_ * t + (mh - 0.5) * ln_d) * f1
-        term1 = d_over_q * (-hr2 * m_ + m_ * q * q + H * q + H - m_) * f1
-        term2 = (H - 2.0 * m_) ** 2 * (q * q - 1.0 - hr2) / H * f2
+        term1 = d_over_q * (m_ * (u * (2.0 - u) + q * q) + H * q + delta) * f1
+        term2 = delta**2 * (q * q - 1.0 - hr2) / H * f2
         k0 = -q * np.exp(-mh * _LN4 + m_ * t + (mh - 2.5) * ln_d) * (term1 + term2)
     finite = np.isfinite(k0) & np.isfinite(k1)
     if not _all(finite):
@@ -229,7 +242,7 @@ def kernel_eval_endpoint(xi, t, params: PhysicalParams) -> KernelEval:
     z = (xs - 1.0) * (2.0 - q * (1.0 + xs)) / d_over_q
     one_minus = 4.0 / d_over_q
     ln_d = -H * ts + np.log(d_over_q)
-    return _assemble(params, hs / H, ts, q, hs * hs, d_over_q, ln_d, z, one_minus)
+    return _assemble(params, hs / H, ts, q, hs * hs, xs * q, d_over_q, ln_d, z, one_minus)
 
 
 def _growth(coef: float, t: float, H: float) -> float:

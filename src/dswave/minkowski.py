@@ -16,11 +16,11 @@ realization each, and ``dswave.desitter`` assembles its fields from the
 same blocks.  ``solve_recursive`` is an independent check: explicit closed
 forms with rational coefficients, ell <= 5, zero initial velocity.
 
-``minkowski_kg`` adds the mass term through a Bessel-kernel time
-convolution applied to the wave blocks.  All evaluators accept radii below
-the light cone through the parity extension r^ell * F even.  Profiles, wave
-blocks and spectral blocks take arrays, so the quadratures hand them whole
-node sets.
+All evaluators accept radii below the light cone through the parity
+extension r^ell * F even.  Profiles, wave blocks and spectral blocks take
+arrays, so the quadratures hand them whole node sets.  A tabulated profile
+is the not-a-knot cubic ``_spline`` through its table, the one interpolant
+of the package (``dswave.oracle`` samples its snapshots with it too).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "solve_recursive",
     "solve_riemann",
     "solve_hankel",
-    "minkowski_kg",
 ]
 
 
@@ -185,6 +184,49 @@ def scaled_profile(profile: RadialProfile, coef: complex) -> RadialProfile:
     )
 
 
+def _spline(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Not-a-knot cubic spline through nodes x (strictly increasing, at least
+    4, any spacing) and values y of shape (len(x), ...), real or complex; its
+    evaluator continues the end cubics beyond the nodes.  One Thomas pass in
+    Python floats (each step needs the last) gives the node slopes."""
+    n, dx = x.size, np.diff(x)
+    dxc = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxc
+    # rows 0 and n-1 make the third derivative continuous across x[1], x[-2]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    low = [0.0, *dx[1:].tolist(), float(d1)]
+    dg = [float(dx[1]), *(2.0 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])]
+    up = [float(d0), *dx[:-1].tolist(), 0.0]
+    s = np.concatenate([
+        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3.0 * (dxc[1:] * slope[:-1] + dxc[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+    ])
+    w = [0.0] * n
+    for i in range(1, n):
+        w[i] = low[i] / dg[i - 1]
+        dg[i] -= w[i] * up[i - 1]
+    for col in s.reshape(n, -1).T:  # each right-hand side, solved in place
+        b = col.tolist()
+        for i in range(1, n):
+            b[i] -= w[i] * b[i - 1]
+        b[-1] /= dg[-1]
+        for i in range(n - 2, -1, -1):
+            b[i] = (b[i] - up[i] * b[i + 1]) / dg[i]
+        col[:] = b
+    # each interval's cubic in powers of h = x - x[i] (cubic Hermite form)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dxc
+    c2, c3 = (slope - s[:-1]) / dxc - t, t / dxc
+
+    def spline(xq):
+        xs = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, n - 2)
+        h = (xs - x[i]).reshape(xs.shape + (1,) * (y.ndim - 1))
+        return y[i] + s[i] * h + c2[i] * (h * h) + c3[i] * (h * h * h)
+
+    return spline
+
+
 def tabulated_profile(
     r_values,
     f_values,
@@ -192,16 +234,13 @@ def tabulated_profile(
     mu: float | None = None,
 ) -> RadialProfile:
     """Cubic-spline profile through sampled (r, F) pairs, zero outside them."""
-    # scipy is imported where it is used: importing dswave loads none of it
-    from scipy.interpolate import CubicSpline
-
     r = np.asarray(r_values, dtype=float)
     f = np.asarray(f_values)
     if r.ndim != 1 or r.size < 4 or np.any(np.diff(r) <= 0) or r[0] <= 0:
         raise InvalidParam("need >= 4 strictly increasing radii > 0")
     if f.shape != r.shape:
         raise InvalidParam("r and F arrays must have matching shapes")
-    spline = CubicSpline(r, f)
+    spline = _spline(r, f)
     lo, hi = float(r[0]), float(r[-1])
 
     def func(x):
@@ -633,56 +672,3 @@ def solve_hankel(
     """Radial factor at (r, t) from the spectral blocks: cos(lam t) weight
     with a lam factor on the f0 transform, sin(lam t) on the f1 one."""
     return _solve(mode, r, t, spec, spectral=True)
-
-
-# ---------------------------------------------------------------------------
-# Klein-Gordon in flat space
-
-
-def minkowski_kg(
-    mode: ModeState,
-    m0: float,
-    r: float,
-    t: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> complex:
-    """Massive flat-space radial factor via Bessel-kernel time convolutions
-    of the wave blocks:
-
-        u = v0(t) - m0 t int_0^{pi/2} J_1(m0 t cos h) v0(t sin h) dh
-                  +    t int_0^{pi/2} J_0(m0 t cos h) cos h v1(t sin h) dh
-
-    (tau = t sin h removes the 1/sqrt(t^2 - tau^2) endpoint weight).  The
-    massless limit reduces exactly to the wave solution.
-    """
-    if m0 < 0.0:
-        raise InvalidParam(f"m0 must be >= 0, got {m0}")
-    if r <= 0.0:
-        raise DomainError(f"minkowski_kg requires r > 0, got {r}")
-    if m0 == 0.0 or t == 0.0:
-        return _solve(mode, r, t, spec, spectral=False)
-    u = wave_block(mode.f0, mode.ell, r, t, spec)
-    # kink of the blocks at tau = r maps to h = asin(r/t)
-    kink = (math.asin(r / t),) if r < t else ()
-    from scipy.special import j0 as _bessel_j0
-    from scipy.special import j1 as _bessel_j1
-
-    u -= m0 * t * integrate_finite(
-        lambda h: _bessel_j1(m0 * t * np.cos(h))
-        * wave_block(mode.f0, mode.ell, r, t * np.sin(h), spec),
-        0.0,
-        0.5 * math.pi,
-        spec,
-        points=kink,
-    ).value
-    if mode.f1 is not None:
-        u += t * integrate_finite(
-            lambda h: _bessel_j0(m0 * t * np.cos(h))
-            * np.cos(h)
-            * wave_block(mode.f1, mode.ell, r, t * np.sin(h), spec),
-            0.0,
-            0.5 * math.pi,
-            spec,
-            points=kink,
-        ).value
-    return u

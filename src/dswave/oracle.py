@@ -10,7 +10,8 @@ the coordinate singularity), second order in space, with classic RK4 in
 time at a fixed fraction of dr.  The origin ghost uses the parity of R
 (odd for even ell, even for odd ell); the outer edge holds R = 0, valid
 while the outgoing characteristic from max(r) + t_end stays inside r_max,
-which the configuration check enforces.
+which the configuration check enforces.  One not-a-knot cubic spline
+(``dswave.minkowski._spline``) reads the samples off all the snapshots.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, InstabilityDetected
 from .desitter import FieldGrid
 from .kernels import PhysicalParams
-from .minkowski import ModeState
+from .minkowski import ModeState, _spline
 
 __all__ = ["FDConfig", "solve_fd"]
 
@@ -147,13 +148,8 @@ def solve_fd(
             )
         snapshots[t_stop] = r_state.copy()
 
-    from scipy.interpolate import CubicSpline
-
-    values = np.empty((len(rs), len(ts)), dtype=complex)
-    for j, t in enumerate(ts):
-        spline = CubicSpline(rj, snapshots[t])
-        for i, r in enumerate(rs):
-            values[i, j] = complex(spline(r)) / r
+    r_arr = np.array(rs)
+    values = _spline(rj, np.stack([snapshots[t] for t in ts], axis=1))(r_arr) / r_arr[:, None]
     flags = [["ok"] * len(ts) for _ in rs]
     return FieldGrid(
         r_values=rs, t_values=ts, values=values, err_flags=flags, method="fd"

@@ -583,19 +583,14 @@ def assoc_laguerre(k: int, alpha: float, x):
     return l[()]
 
 
-def legendre_p(ell: int, x, m: int = 0):
-    """Associated Legendre function P_ell^m(x), 0 <= m <= ell, with the
-    Condon-Shortley phase: upward recurrence in the degree from P_m^m =
-    (-1)^m (2m-1)!! (1-x^2)^{m/2}.  x may be an array when m = 0."""
+def legendre_p(ell: int, x):
+    """Legendre polynomial P_ell(x) by the upward recurrence in the degree;
+    x may be an array."""
     p = 1.0
-    if m > 0:
-        somx2 = math.sqrt(max(1.0 - x * x, 0.0))
-        for j in range(m):
-            p *= -(2 * j + 1) * somx2
-    if ell > m:
-        pm1, p = p, x * (2 * m + 1) * p
-        for n in range(m + 2, ell + 1):
-            pm1, p = p, ((2 * n - 1) * x * p - (n + m - 1) * pm1) / (n - m)
+    if ell > 0:
+        pm1, p = p, x * p
+        for n in range(2, ell + 1):
+            pm1, p = p, ((2 * n - 1) * x * p - (n - 1) * pm1) / n
     return p
 
 
@@ -611,11 +606,21 @@ def spherical_harmonic(ell: int, m: int, theta: float, phi: float) -> complex:
         raise IndexError(f"|m|={abs(m)} exceeds ell={ell}")
     ell, m = int(ell), int(m)
     mm = abs(m)
-    p = legendre_p(ell, math.cos(theta), mm)
-    # (ell-|m|)!/(ell+|m|)! as the integer product of ell-|m|+1 ... ell+|m|:
-    # the factorials themselves leave binary64 from ell = 171
-    norm = math.sqrt((2 * ell + 1) / math.prod(range(ell - mm + 1, ell + mm + 1)) / (4.0 * math.pi))
-    y = norm * p * cmath.exp(1j * mm * phi)
+    x = math.cos(theta)
+    if mm == 0:
+        p = math.sqrt((2 * ell + 1) / (4.0 * math.pi)) * legendre_p(ell, x)
+    else:
+        # normalized recurrence (Numerical Recipes, 3rd ed., 6.7): (2m-1)!!
+        # alone overflows where 1/sqrt((ell+m)!) underflows
+        somx2 = math.sqrt(max(1.0 - x * x, 0.0))
+        p = math.sqrt((2 * mm + 1) / (4.0 * math.pi))
+        for i in range(1, mm + 1):
+            p *= -somx2 * math.sqrt((2 * i - 1) / (2 * i))
+        pm1, a = 0.0, 1.0
+        for n in range(mm + 1, ell + 1):
+            a_n = math.sqrt((4 * n * n - 1) / (n * n - mm * mm))
+            pm1, p, a = p, a_n * (x * p - pm1 / a), a_n
+    y = p * cmath.exp(1j * mm * phi)
     if m < 0:
         y = ((-1) ** mm) * y.conjugate()
     return y

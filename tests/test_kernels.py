@@ -2,7 +2,9 @@
 (tools/gen_oracle_values.py), the collapsing-mass closed forms, and the
 endpoint-layer parametrization."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -45,6 +47,17 @@ KERNEL_ENDPOINT_POINTS = {
                       k1=complex(4286651672.50532646, 0.0)),
 }
 
+# the collapsing mass as binary64 rounds it, H = 1, where H - 2M is 5.5e-16:
+# (xi, t): (k0, k1), endpoint parametrization, 60-digit mpmath
+KERNEL_COLLAPSE_POINTS = {
+    (8, 20): (complex(-5506.61661103655417, 0.0), complex(11013.2328974033537, 0.0)),
+    (64, 20): (complex(-5506.61647117880945, 0.0), complex(11013.2328974033478, 0.0)),
+    (1024, 20): (complex(-5506.61645012704765, 0.0), complex(11013.2328974033395, 0.0)),
+    (8, 40): (complex(-1856078854.94488025, 0.0), complex(242582597.704895039, 0.0)),
+    (64, 40): (complex(-361492652.772938003, 0.0), complex(242582597.704894908, 0.0)),
+    (1024, 40): (complex(-136523579.832771111, 0.0), complex(242582597.704894725, 0.0)),
+}
+
 
 class TestPhysicalParams:
     def test_mass_parameter_branches(self):
@@ -54,6 +67,23 @@ class TestPhysicalParams:
         heavy = PhysicalParams(H=1.0, m=2.0)
         assert heavy.M.real == pytest.approx(0.0, abs=1e-15)
         assert heavy.M.imag == pytest.approx(math.sqrt(7.0) / 2.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "m", [0.0, 0.5, 1.0, 1.4, 1.4142135, math.sqrt(2.0), 1.4142136, 1.5, 2.0, 100.0]
+    )
+    def test_collapse_offset_matches_extended_precision(self, m):
+        # H - 2M from the binary64 m in 50 digits, for real M (light masses,
+        # the collapsing one among them, where the binary64 difference of H
+        # and 2M is rounding alone) and imaginary M (heavy masses)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a = Decimal("2.25") - Decimal(m) ** 2
+            want = complex(float(1 - 2 * a.sqrt()), 0.0) if a >= 0 else complex(1.0, float(-2 * (-a).sqrt()))
+        got = PhysicalParams(H=1.0, m=m).delta
+        assert got.real == pytest.approx(want.real, rel=1e-15, abs=0.0)
+        assert got.imag == pytest.approx(want.imag, rel=1e-15, abs=0.0)
+        if want.imag:
+            assert got.real == 1.0  # H - 2M for imaginary M: no rounding in Re
 
     def test_huygensian_detection(self):
         assert PhysicalParams(H=2.0, m=2.0 * math.sqrt(2.0)).is_huygensian
@@ -173,6 +203,23 @@ class TestHuygensClosedForms:
 
 
 class TestEndpointParametrization:
+    @pytest.mark.parametrize("xi,t", sorted(KERNEL_COLLAPSE_POINTS))
+    def test_frozen_references_at_the_rounded_collapsing_mass(self, xi, t):
+        # K0 is ill-conditioned in M there: only an exact H - 2M keeps it
+        k0, k1 = KERNEL_COLLAPSE_POINTS[xi, t]
+        ev = kernel_eval_endpoint(float(xi), float(t), PhysicalParams(H=1.0, m=math.sqrt(2.0)))
+        assert ev.k0 == pytest.approx(k0, rel=1e-10)
+        assert ev.k1 == pytest.approx(k1, rel=1e-10)
+
+    @pytest.mark.parametrize("t", [20.0, 30.0, 40.0])
+    def test_k0_has_no_jumps_between_neighbouring_xi_at_the_collapsing_mass(self, t):
+        # K0 is smooth in xi (|d ln K0 / d ln xi| < 1): on a geometric grid
+        # of ratio 1.0018 neighbours differ by less than 0.2%, where rounding
+        # 1 - (H r)^2 made some jump by 12% at t = 40
+        xi = np.geomspace(1.5, 2000.0, 4000)
+        k0 = kernel_eval_endpoint(xi, t, PhysicalParams(H=1.0, m=math.sqrt(2.0))).k0
+        assert np.max(np.abs(np.diff(k0)) / np.abs(k0[:-1])) <= 5e-3
+
     @pytest.mark.parametrize("name", sorted(KERNEL_ENDPOINT_POINTS))
     def test_frozen_references(self, name):
         c = KERNEL_ENDPOINT_POINTS[name]

@@ -1,6 +1,6 @@
 """Flat-space solver tests: frozen block references
-(tools/gen_oracle_values.py), cross-method agreement, and the massive-field
-anchor."""
+(tools/gen_oracle_values.py), cross-method agreement, and the spline of
+tabulated profiles."""
 
 import math
 
@@ -17,7 +17,6 @@ from dswave import (
     UnsupportedEll,
     gaussian_profile,
     integrate_finite,
-    minkowski_kg,
     scaled_profile,
     solve_hankel,
     solve_recursive,
@@ -36,7 +35,6 @@ GAUSS_BLOCK_L1 = {
 }
 GAUSS_BLOCK_L3_08_11 = -0.085065360645082075
 PIONIC_BLOCK_21_09_06 = 0.391752537012829497
-KG_GAUSS_09_14_M13 = -0.363735600818032037  # ell=0 gaussian data, zero velocity
 GAUSS_HAT_S2 = {  # (ell, k, lam): power ell + 2k, sigma = 2
     (0, 1, 0.5): 0.0629131161221306942,
     (0, 1, 2.3): 0.0410392336529182784,
@@ -117,11 +115,43 @@ class TestProfiles:
             assert tab(r) == pytest.approx(src(r), rel=1e-6, abs=1e-9)
         assert tab(9.5) == 0j  # zero outside the table
 
+    def test_tabulated_profile_is_zero_outside_its_table(self):
+        tab = tabulated_profile([0.5, 1.0, 1.5, 2.0, 3.0], [1.0, -2.0, 0.5, 4.0, 1.0], ell=0)
+        xs = np.array([0.1, 0.4999, 3.0001, 50.0])
+        assert np.array_equal(tab(xs), np.zeros(4, dtype=complex))
+        assert tab(0.5) == 1.0 and tab(3.0) == 1.0  # the end nodes are inside
+
     def test_tabulated_profile_validation(self):
         with pytest.raises(InvalidParam):
             tabulated_profile([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], ell=0)  # < 4 rows
         with pytest.raises(InvalidParam):
             tabulated_profile([0.3, 0.2, 0.4, 0.5], [1.0] * 4, ell=0)
+
+
+class TestSpline:
+    @given(st.integers(4, 40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reproduces_any_cubic(self, n, data):
+        # a cubic is its own not-a-knot spline on any nodes: two complex
+        # cubics as columns, on random increasing nodes.  Spacings differ by
+        # up to 20x; at 200x the rounding of the problem itself reaches
+        # 2.6e-12 of the largest value, for scipy's CubicSpline as well
+        gaps = data.draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+        x = 0.3 + np.concatenate([[0.0], np.cumsum(gaps)])
+        coef = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16)))
+        coef = (coef[:8] + 1j * coef[8:]).reshape(4, 2)
+
+        def cubic(v):
+            v = v[:, None]
+            return ((coef[3] * v + coef[2]) * v + coef[1]) * v + coef[0]
+
+        xq = np.concatenate([x, np.linspace(x[0], x[-1], 37)])
+        want = cubic(xq)
+        got = minkowski._spline(x, cubic(x))(xq)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+        one = minkowski._spline(x, cubic(x)[:, 1])(xq)
+        assert np.max(np.abs(one - want[:, 1])) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
 class TestWaveBlock:
@@ -329,27 +359,3 @@ class TestKirchhoffBlock:
             want = (math.exp(-lo * lo) - math.exp(-hi * hi)) / (4.0 * r)
             got = _kirchhoff_block(gaussian_profile(0), 0, r, t, DEFAULT_SPEC)
             assert got == pytest.approx(want, rel=1e-13)
-
-
-class TestMinkowskiKG:
-    def test_frozen_reference(self):
-        mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))
-        assert minkowski_kg(mode, 1.3, 0.9, 1.4) == pytest.approx(
-            KG_GAUSS_09_14_M13, rel=1e-9
-        )
-
-    def test_massless_reduction_is_exact(self):
-        mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
-        for r, t in [(0.7, 0.4), (0.5, 1.6)]:
-            assert minkowski_kg(mode, 0.0, r, t) == solve_riemann(mode, r, t)
-
-    def test_initial_data_recovery(self):
-        mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
-        assert minkowski_kg(mode, 2.0, 0.8, 0.0) == pytest.approx(
-            gaussian_profile(1)(0.8), rel=1e-12
-        )
-
-    def test_rejects_negative_mass(self):
-        mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))
-        with pytest.raises(InvalidParam):
-            minkowski_kg(mode, -1.0, 0.5, 0.5)

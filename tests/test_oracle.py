@@ -44,6 +44,20 @@ class TestSolveFD:
                 gaussian_profile(1)(r), rel=1e-6
             )
 
+    def test_node_radius_returns_the_snapshot_value(self):
+        # at a grid node r_j = (j + 1/2) dr the spline returns the node's R
+        params = PhysicalParams(H=1.0, m=1.0)
+        mode = ModeState(ell=2, m=0, f0=gaussian_profile(2))
+        cfg = FDConfig(r_max=4.0, n_r=400, t_end=0.5)
+        dr = cfg.r_max / cfg.n_r
+        rs = tuple((j + 0.5) * dr for j in (0, 37, 250))
+        grid = solve_fd(params, mode, cfg, rs, (0.0, 0.5))
+        for i, r in enumerate(rs):
+            assert grid.values[i, 0] == pytest.approx(mode.f0.r_f(r) / r, rel=1e-15)
+        # one spline holds every snapshot: each time alone gives the same
+        alone = solve_fd(params, mode, cfg, rs, (0.5,))
+        assert np.array_equal(alone.values[:, 0], grid.values[:, 1])
+
     def test_sample_domain_validation(self):
         params = PhysicalParams(H=1.0, m=1.0)
         mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))

@@ -2,6 +2,7 @@
 (40-digit arithmetic, tools/gen_oracle_values.py) plus structural
 invariants."""
 
+import cmath
 import math
 import warnings
 from collections import defaultdict
@@ -102,6 +103,13 @@ Y_HIGH_ELL_07_11 = {
     (200, 2): complex(0.0521119335111264112, -0.0715925757903878986),
     (1000, 0): complex(-0.210688839575538246, 0.0),
     (1000, 2): complex(-0.124459838071451644, 0.170985795184270966),
+}
+Y_LARGE_M = {  # theta = 0.7, phi = 1.1
+    (5, 3): complex(0.389525209385267933, 0.0622249958056804007),
+    (200, 150): complex(-3.57334180989887415e-7, 5.37478957186364228e-6),
+    (200, 200): complex(7.19634404297033317e-39, 6.38647744810114803e-40),
+    (1000, 500): complex(0.0993114395855025642, 0.0223420668153234745),
+    (1000, 1000): complex(1.641913564689894e-191, 7.78144642209411822e-192),
 }
 
 
@@ -302,6 +310,15 @@ class TestSphericalHarmonic:
         # divides by the product ell - |m| + 1 ... ell + |m| instead
         ell, m = args
         assert spherical_harmonic(ell, m, 0.7, 1.1) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("args,want", sorted(Y_LARGE_M.items()))
+    def test_frozen_references_at_large_order(self, args, want):
+        # (2m-1)!! sin^m theta leaves binary64 from m ~ 150; the normalized
+        # recurrence never forms it
+        ell, m = args
+        y = spherical_harmonic(ell, m, 0.7, 1.1)
+        assert cmath.isfinite(y)
+        assert y == pytest.approx(want, rel=1e-12)
 
     def test_monopole_is_constant(self):
         want = 0.5 / math.sqrt(math.pi)

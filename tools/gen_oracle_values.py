@@ -14,6 +14,8 @@ is a dev-only dependency; the package and its tests never import it.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 40
@@ -215,6 +217,16 @@ def gen_kernels() -> None:
         print(f"                   k0={cfmt(k0)},")
         print(f"                   k1={cfmt(k1)}),")
     print("}")
+    # the collapsing mass as binary64 rounds it, H = 1: there H - 2M is
+    # 5.5e-16 and the K0 bracket cancels to O(q + H - 2M), so 60 digits
+    print("KERNEL_COLLAPSE_POINTS = {  # (xi, t): (k0, k1)")
+    with mp.workdps(60):
+        for t in (20, 40):
+            for xi in (8, 64, 1024):
+                q = mp.e ** (-mp.mpf(t))
+                k0, k1 = mp_kernels(1 - xi * q, t, 1, math.sqrt(2.0))
+                print(f"    ({xi}, {t}): ({cfmt(k0)}, {cfmt(k1)}),")
+    print("}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +253,12 @@ def gen_scalars() -> None:
         for m in (0, 2):
             v = mp.spherharm(ell, m, mp.mpf("0.7"), mp.mpf("1.1"))
             print(f"    ({ell}, {m}): {cfmt(v)},")
+    print("}")
+    # orders whose sectoral start (2m-1)!! sin^m leaves binary64, at the
+    # binary64 angles
+    print("Y_LARGE_M = {  # theta = 0.7, phi = 1.1")
+    for ell, m in ((5, 3), (200, 150), (200, 200), (1000, 500), (1000, 1000)):
+        print(f"    ({ell}, {m}): {cfmt(mp.spherharm(ell, m, mp.mpf(0.7), mp.mpf(1.1)))},")
     print("}")
 
 
@@ -360,24 +378,12 @@ def gen_blocks() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Minkowski Klein-Gordon point
+# Sine integral
 
 
-def gen_minkowski_kg() -> None:
-    header("flat-space Klein-Gordon (tests/test_minkowski.py)")
-    r, t, m0 = mp.mpf("0.9"), mp.mpf("1.4"), mp.mpf("1.3")
-
-    def v0(tau):
-        # ell = 0 gaussian block: traveling average of F(x) = e^{-x^2}
-        a, b = r - tau, r + tau
-        return (a * mp.e ** (-(a**2)) + b * mp.e ** (-(b**2))) / (2 * r)
-
-    j_term = mp.quad(
-        lambda th: mp.besselj(1, m0 * t * mp.cos(th)) * v0(t * mp.sin(th)),
-        [0, mp.pi / 2],
-    )
-    u = v0(t) - m0 * t * j_term
-    print(f"KG_GAUSS_09_14_M13 = {ffmt(u)}  # ell=0 gaussian, f1=0")
+def gen_sine_integral() -> None:
+    header("sine integral (tests/test_quadrature.py)")
+    print(f"SI_PI = {ffmt(mp.si(mp.mpf(math.pi)))}  # Si(pi) at the binary64 pi")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +447,7 @@ def main() -> None:
     gen_pionic()
     gen_gaussian_hat()
     gen_blocks()
-    gen_minkowski_kg()
+    gen_sine_integral()
     gen_ita()
     gen_huygens_pionic()
 
