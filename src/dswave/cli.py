@@ -654,7 +654,7 @@ def cmd_decay(cfg: dict[str, Any]) -> int:
     mode, params, spec = _build_point_args(cfg)
     dc = cfg["decay"]
 
-    def sampler(t: float) -> complex:
+    def sampler(t: np.ndarray) -> np.ndarray:
         return ita_remainder(mode, params, dc["r"], t, spec)
 
     report = decay_fit(

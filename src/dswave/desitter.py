@@ -34,7 +34,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from . import kernels, quadrature
-from .kernels import PhysicalParams, phi_of_t
+from .kernels import PhysicalParams, _all, phi_of_t
 from .minkowski import ModeState, RadialProfile, _blocks, _check_mode, scaled_profile
 # the blocks come from _blocks; these bindings are kept for the benchmark's
 # tracer, which wraps them
@@ -166,77 +166,100 @@ def _check_point(
     mode: ModeState | None,
     params: PhysicalParams,
     r: float,
-    t: float,
+    t: float | np.ndarray,
     *,
     expanding: bool = True,
 ) -> None:
-    """Argument checks shared by the point evaluators: a usable mode,
-    finite r > 0 and t >= 0, and, where the kernel assembly is used
-    (expanding=True), an expanding background.  The collapsing-mass forms
-    also admit the flat limit H = 0."""
+    """Argument checks shared by the evaluators: a usable mode, finite
+    r > 0 and t >= 0 (a time or an array of them), and, where the kernel
+    assembly is used (expanding=True), an expanding background.  The
+    collapsing-mass forms also admit the flat limit H = 0."""
     if mode is not None:
         _check_mode(mode)
-    if not (math.isfinite(r) and math.isfinite(t)):
+    ts = np.asarray(t, dtype=float)
+    if not (math.isfinite(r) and _all(np.isfinite(ts))):
         raise DomainError(f"r and t must be finite, got r={r}, t={t}")
     if r <= 0.0:
         raise DomainError(f"r must be > 0, got {r}")
-    if t < 0.0:
+    if not _all(ts >= 0.0):
         raise DomainError(f"t must be >= 0, got {t}")
     if expanding and params.H <= 0.0:
         raise DomainError("assembly requires H > 0")
 
 
-def _kernels(evaluate, x, t: float, params: PhysicalParams) -> kernels.KernelEval:
+def _kernels(evaluate, x, t, params: PhysicalParams) -> kernels.KernelEval:
     """Both kernels at the convolution nodes, from one evaluation.  Where
     they cannot be evaluated there (beyond the binary64 range at late times,
     or a series that cancels at heavy masses) the integrand is not finite."""
     try:
         return evaluate(x, t, params)
     except (DomainError, DivergentSeries) as exc:
-        raise NonFiniteIntegrand(f"convolution kernel at t={t}: {exc}") from None
+        raise NonFiniteIntegrand(f"convolution kernel: {exc}") from None
 
 
-def _panel_quad(g: Callable[[np.ndarray], np.ndarray], xi_max: float,
-                xi_r: float | None, spec: QuadratureSpec) -> tuple[complex, float]:
-    """The endpoint layer int_1^{xi_max} g(xi) dxi in one engine pass: the
-    geometric panels [4^k, 4^{k+1}] of [1, xi_max], each seeing at most a
-    few units of ln xi, are the integrals of one batch, cut at xi_r where
-    the blocks kink.  Returns the summed value and error estimate.
+def _panel_quad(g: Callable[[np.ndarray, np.ndarray], np.ndarray], xi_max: np.ndarray,
+                xi_r: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint layers int_1^{xi_max_j} g(xi, j) dxi of the times j in
+    one engine pass: the geometric panels [4^k, 4^{k+1}] of each [1,
+    xi_max_j], each seeing at most a few units of ln xi, are the integrals
+    of one batch, cut at xi_r_j where the blocks of time j kink (nan: no
+    cut).  Returns each time's summed value and error estimate.
 
     Each panel is refined to abs_tol/16 or a relative 1e-6, in at most 32
     intervals, and none of them raises: the blocks feeding g carry
     quadrature noise near their own rel_tol, amplified by the large kernel
-    values, which an estimator chases to no end.  The caller judges the
-    summed error instead.
+    values, which an estimator chases to no end.  The caller judges each
+    time's summed error instead.
     """
-    edges = [1.0]
-    while 4.0 * edges[-1] < xi_max:
-        edges.append(4.0 * edges[-1])
-    edges = np.array([*edges, xi_max])
+    lo, hi, counts = [], [], []
+    for top in xi_max:
+        edges = [1.0]
+        while 4.0 * edges[-1] < top:
+            edges.append(4.0 * edges[-1])
+        edges.append(float(top))
+        lo += edges[:-1]
+        hi += edges[1:]
+        counts.append(len(edges) - 1)
+    time = np.repeat(np.arange(len(counts)), counts)
     # through the module binding, which the benchmark's tracer counts
     value, err, _ = quadrature.quad(
-        lambda xi, k: g(xi), edges[:-1], edges[1:], spec.abs_tol / 16.0, 1e-6, 32,
-        () if xi_r is None else (xi_r,),
+        lambda xi, k: g(xi, time[k]), np.array(lo), np.array(hi), spec.abs_tol / 16.0, 1e-6,
+        32, xi_r[time, None],
     )
-    return complex(value.sum()), float(err.sum())
+    ends = np.cumsum(counts)
+    # each time's panels summed by ndarray.sum, pairwise, as one time's
+    # layer alone is summed; np.add.reduceat adds in sequence, which rounds
+    # the late-time values differently
+    return (np.array([value[e - c:e].sum() for c, e in zip(counts, ends)]),
+            np.array([err[e - c:e].sum() for c, e in zip(counts, ends)]))
 
 
-def _ita_integrals(
+# times assembled together: the direct parts of a group are one engine
+# pass and its endpoint layers another, so that the nested block batches
+# stay bounded however many times a caller hands over.  16 is the largest
+# group at the lowest peak memory of a 5,000-sample decay fit; larger ones
+# gain at most ~10% in time there for ~3 MB more.
+_TIME_GROUP = 16
+
+
+def _ita_group(
     w0: Callable[[float, np.ndarray], np.ndarray],
     params: PhysicalParams,
     r: float,
-    t: float,
+    ts: np.ndarray,
     w1: Callable[[float, np.ndarray], np.ndarray] | None,
     spec: QuadratureSpec,
-) -> complex:
-    """The damped kernel convolutions of ita_assemble as one integral of
-    (2 K0 + n H K1) v0 + 2 K1 v1, each node with one kernel evaluation."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The damped convolutions of _ita_integrals at the times ts (1-d, each
+    with phi(t) > 0): their values, error estimates and misses."""
     h = params.H
-    pt = phi_of_t(t, h)
-    if pt == 0.0:
-        return 0j
     n_h = params.n * h
-    q = math.exp(-h * t)
+    # math's exp and expm1 per time: numpy's vector exp rounds a few percent
+    # of arguments differently, which would move every result built on them
+    pts, qs, damping = np.array(
+        [(phi_of_t(t, h), math.exp(-h * t), math.exp(-0.5 * params.n * h * t)) for t in ts]
+    ).T
+    late = qs < 0.05
 
     def combine(ke: kernels.KernelEval, s: np.ndarray) -> np.ndarray:
         # all nodes of a quadrature pass at once: one batch of wave blocks
@@ -246,46 +269,106 @@ def _ita_integrals(
             out += 2.0 * ke.k1 * w1(r, s)
         return out
 
-    # the kernels are looked up at call time, through the module bindings
-    # the benchmark's tracer wraps
-    direct = lambda s: combine(_kernels(kernels.kernel_eval, s, t, params), s)
-    # the blocks kink where the integration time crosses the radius
-    s_end = pt if q >= 0.05 else 0.7 / h
-    total = integrate_finite(direct, 0.0, s_end, spec, points=(r,)).value
-    if q < 0.05:
+    # a miss of the blocks nested in the direct pass passes through; the
+    # pass's own miss is judged with the layers, below, on its estimates
+    nested = []
+
+    def direct(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # the kernels are looked up at call time, through the module
+        # bindings the benchmark's tracer wraps
+        try:
+            return combine(_kernels(kernels.kernel_eval, s, ts[k], params), s)
+        except ToleranceNotMet:
+            nested.append(True)
+            raise
+
+    # one integral per time on [0, phi(t)], or at late times up to the
+    # endpoint layer, cut where the integration time crosses the radius and
+    # the blocks kink
+    try:
+        direct_pass = integrate_finite(direct, np.zeros(ts.size), np.where(late, 0.7 / h, pts),
+                                       spec, points=(r,))
+    except ToleranceNotMet as exc:
+        if nested:
+            raise
+        direct_pass = exc
+    total, err = direct_pass.value, direct_pass.err_est
+    missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    if late.any():
         # late time: the kernels grow like D^{M/H - 5/2} with D ~ 4 q near
         # the upper endpoint; substitute H s = 1 - xi q on [0.7/H, phi(t)],
         # which spreads the endpoint structure into a slow power law (a
         # log-chirp when M is imaginary) in xi on [1, 0.3/q].  The block
         # argument (1 - xi q)/h may round onto the endpoint; only the
         # kernels need the exactly factored parametrization.
-        def g(xi: np.ndarray) -> np.ndarray:
-            ke = _kernels(kernels.kernel_eval_endpoint, xi, t, params)
-            return combine(ke, (1.0 - xi * q) / h) * (q / h)
+        lt = np.flatnonzero(late)
+        tl, ql = ts[lt], qs[lt]
 
-        xi_max = 0.3 / q
-        xi_r = (1.0 - h * r) / q if s_end < r < pt else None
-        layer, err = _panel_quad(g, xi_max, xi_r, spec)
-        total += layer
-        if err > 1e-4 * max(abs(total), 1.0):
-            raise ToleranceNotMet(
-                f"layer panels on [1, {xi_max:.3g}]: accumulated err "
-                f"{err:.3e} vs total {abs(total):.3e}",
-                value=total,
-                err_est=err,
-            )
-    return math.exp(-0.5 * params.n * h * t) * total
+        def g(xi: np.ndarray, k: np.ndarray) -> np.ndarray:
+            ke = _kernels(kernels.kernel_eval_endpoint, xi, tl[k], params)
+            return combine(ke, (1.0 - xi * ql[k]) / h) * (ql[k] / h)
+
+        inside = (0.7 / h < r) & (r < pts[lt])
+        layer, layer_err = _panel_quad(g, 0.3 / ql, np.where(inside, (1.0 - h * r) / ql, np.nan),
+                                       spec)
+        total[lt] += layer
+        err[lt] += layer_err
+        missed[lt] |= layer_err > 1e-4 * np.maximum(np.abs(total[lt]), 1.0)
+    return damping * total, damping * err, missed
+
+
+def _shaped(values: np.ndarray, shape: tuple[int, ...], kind: type = complex):
+    # per-time results in the shape of the times: a number for one time
+    return kind(values[0]) if shape == () else values.reshape(shape)
+
+
+def _ita_integrals(
+    w0: Callable[[float, np.ndarray], np.ndarray],
+    params: PhysicalParams,
+    r: float,
+    t: float | np.ndarray,
+    w1: Callable[[float, np.ndarray], np.ndarray] | None,
+    spec: QuadratureSpec,
+) -> complex | np.ndarray:
+    """The damped kernel convolutions of ita_assemble at one r for a time
+    or an array of times, as one integral of (2 K0 + n H K1) v0 + 2 K1 v1
+    per time, each node with one kernel evaluation.  The times are taken
+    in groups of _TIME_GROUP.  A time whose convolution misses its
+    tolerance raises ToleranceNotMet once every time is done, carrying
+    the values and error estimates of all of them."""
+    ts = np.asarray(t, dtype=float)
+    shape = ts.shape
+    ts = ts.ravel()
+    total = np.zeros(ts.size, dtype=complex)
+    err = np.zeros(ts.size)
+    missed = np.zeros(ts.size, dtype=bool)
+    # at t = 0, where phi(t) = 0, the convolutions are empty, and 0
+    run = np.flatnonzero(ts > 0.0)
+    for i in range(0, run.size, _TIME_GROUP):
+        group = run[i:i + _TIME_GROUP]
+        total[group], err[group], missed[group] = _ita_group(w0, params, r, ts[group], w1, spec)
+    if missed.any():
+        i = int(np.argmax(missed))
+        more = int(missed.sum()) - 1
+        raise ToleranceNotMet(
+            f"kernel convolution at t={ts[i]}: err_est {err[i]:.3e} beyond tolerance, "
+            f"value {abs(total[i]):.3e}" + (f", and {more} more of {ts.size}" if more else ""),
+            value=_shaped(total, shape),
+            err_est=_shaped(err, shape, float),
+        )
+    return _shaped(total, shape)
 
 
 def ita_assemble(
     wave_solution: Callable[[float, np.ndarray], np.ndarray],
     params: PhysicalParams,
     r: float,
-    t: float,
+    t: float | np.ndarray,
     wave_solution_1: Callable[[float, np.ndarray], np.ndarray] | None = None,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> complex:
-    """Assemble the field value from flat-space wave solutions.
+) -> complex | np.ndarray:
+    """Assemble the field value at one r from flat-space wave solutions,
+    for a time t or a 1-d array of times (an array of values).
 
     wave_solution(r, s) must be the wave evolution of the initial data and
     wave_solution_1 that of the initial velocity (each with zero partner
@@ -296,30 +379,38 @@ def ita_assemble(
         + e^{-n H t/2} int_0^{phi(t)} [2 K0 + n H K1](s, t) v0(r, s) ds
         + 2 e^{-n H t/2} int_0^{phi(t)} K1(s, t) v1(r, s) ds.
 
-    The two convolutions are one integral: each quadrature pass over it
-    makes one kernel evaluation and one batch of blocks per profile for all
-    its nodes.  At late times
-    (e^{-H t} < 0.05) its part near the light cone, s > 0.7/H, is taken in
+    The two convolutions are one integral per time, and the integrals of
+    all times are one engine pass: each pass makes one kernel evaluation
+    and one batch of blocks per profile for all its nodes.  At late times
+    (e^{-H t} < 0.05) the part near the light cone, s > 0.7/H, is taken in
     the endpoint parametrization H s = 1 - xi e^{-H t}: geometric panels in
-    xi, all of them integrated in one pass of the quadrature engine.
+    xi, those of all late times integrated in one more pass.  The times go
+    through in groups of a fixed size, which bounds each pass.  A miss at
+    any time raises ToleranceNotMet carrying every time's convolution
+    values and error estimates.
     """
     _check_point(None, params, r, t)
-    lead = math.exp(-0.5 * (params.n - 1) * params.H * t) * complex(
-        wave_solution(r, np.asarray(phi_of_t(t, params.H)))
+    ts = np.asarray(t, dtype=float)
+    h = params.H
+    lead = np.array([math.exp(-0.5 * (params.n - 1) * h * s) for s in ts.flat]) * wave_solution(
+        r, np.array([phi_of_t(s, h) for s in ts.flat])
     )
-    return lead + _ita_integrals(wave_solution, params, r, t, wave_solution_1, spec)
+    return _shaped(lead, ts.shape) + _ita_integrals(
+        wave_solution, params, r, t, wave_solution_1, spec
+    )
 
 
 def ita_remainder(
     mode: ModeState,
     params: PhysicalParams,
     r: float,
-    t: float,
+    t: float | np.ndarray,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> complex:
+) -> complex | np.ndarray:
     """Kernel-convolution part of the radial field (assembly minus the
-    damped traveling term); this is the piece whose late-time envelope the
-    decay machinery classifies."""
+    damped traveling term) at one r, for a time t or a 1-d array of times;
+    this is the piece whose late-time envelope the decay machinery
+    classifies."""
     _check_point(mode, params, r, t)
     data0 = _blocks(mode.f0, spec, spectral=False)[0]
     data1 = None if mode.f1 is None else _blocks(mode.f1, spec, spectral=False)[0]
@@ -656,7 +747,7 @@ def decay_classify(params: PhysicalParams) -> DecayReport:
 
 
 def decay_fit(
-    sampler: Callable[[float], complex],
+    sampler: Callable[[np.ndarray], np.ndarray],
     t_window: tuple[float, float],
     n_samples: int,
     params: PhysicalParams | None = None,
@@ -664,6 +755,11 @@ def decay_fit(
     discard_fraction: float = 0.0,
 ) -> DecayReport:
     """Least-squares fit of log|sampler(t)| to a + b t (+ p log(1+t)).
+
+    The sampler is called once, with the 1-d array of the n_samples
+    equally spaced times of t_window, and returns their values (real or
+    complex) in an array of the same shape; any other shape raises
+    InvalidParam.
 
     discard_fraction drops that fraction of samples with the lowest
     residual against a provisional straight-line fit; this trims the dips
@@ -686,7 +782,11 @@ def decay_fit(
     else:
         regime, pred_e, pred_p = "synthetic", math.nan, math.nan
     ts = np.linspace(ta, tb, n_samples)
-    mags = np.array([abs(complex(sampler(float(t)))) for t in ts])
+    mags = np.abs(np.asarray(sampler(ts)))
+    if mags.shape != ts.shape:
+        raise InvalidParam(
+            f"the sampler must return one value per time: shape {mags.shape} for {ts.shape}"
+        )
     good = mags > 1e-290
     n_min = 4 if fit_poly_power else 3
     if int(good.sum()) < n_min:

@@ -9,12 +9,15 @@ heuristic (Piessens et al. 1983), bisected globally, so that one call
 refines a whole batch of independent integrals in a single complex pass.
 Each integral is refined to half its tolerance and then checked against
 the full one, which leaves a margin for the error estimate's own error.
+The engine hands its integrand at most _MAX_INTERVALS = 512 intervals
+(21 abscissae each) per call, so the arrays of an integrand that nests
+a batch of its own stay bounded however large the batch.
 
-Integrands take arrays.  The integrand of ``integrate_finite`` is called
-with a float ndarray of abscissae and returns an array of the same shape,
-real or complex.  The integrand of ``integrate_batch`` is called as
-``f(x, k)``, where the integer array k (broadcastable against x) holds the
-index of the integral each abscissa belongs to.  Each integral of a batch
+Integrands take arrays.  The integrand of ``integrate_finite`` on one
+interval is called with a float ndarray of abscissae and returns an array
+of the same shape, real or complex.  The integrand of ``integrate_batch``
+is called as ``f(x, k)``, where the integer array k (broadcastable against
+x) holds the index of the integral each abscissa belongs to.  Each integral of a batch
 is refined on its own, so it comes out as it would alone.  Exceptions
 raised by an integrand pass through unchanged: a ToleranceNotMet that
 reaches a caller is the miss of whichever integral raised it.
@@ -116,14 +119,24 @@ _UFLOW = float(np.finfo(float).tiny)
 # (roundoff, or structure below the resolution of its abscissae), the case
 # QUADPACK's roundoff counters end
 _STALL_ROUNDS = 8
+# intervals handed to the integrand in one call
+_MAX_INTERVALS = 512
 
 
 def _kronrod(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray):
     """G10K21 on each interval [lo_j, hi_j] of integral owner_j: values and
     QUADPACK error estimates, the estimate of a complex integrand being the
-    hypot of those of its real and imaginary parts.  Raises
-    NonFiniteIntegrand where the integrand, or a rule summed from its
-    finite values, leaves the binary64 range."""
+    hypot of those of its real and imaginary parts.  The intervals go
+    through in chunks of at most _MAX_INTERVALS, one integrand call each.
+    Raises NonFiniteIntegrand where the integrand, or a rule summed from
+    its finite values, leaves the binary64 range."""
+    if not lo.size:
+        return np.zeros(0), np.zeros(0)
+    if lo.size > _MAX_INTERVALS:
+        rules = [_kronrod(f, lo[i:i + _MAX_INTERVALS], hi[i:i + _MAX_INTERVALS],
+                          owner[i:i + _MAX_INTERVALS])
+                 for i in range(0, lo.size, _MAX_INTERVALS)]
+        return tuple(np.concatenate(part) for part in zip(*rules))
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = centre[:, None] + half[:, None] * _NODES
@@ -180,12 +193,15 @@ def quad(
     abs_tol,
     rel_tol: float,
     limit: int,
-    points: tuple[float, ...] = (),
+    points: tuple[float, ...] | np.ndarray = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive G10K21 over the batch int_{a_i}^{b_i} f(x, i) dx, a_i < b_i,
-    on 1-d arrays of limits (abs_tol a scalar or one per integral).
+    """Adaptive G10K21 over the batch int_{a_i}^{b_i} f(x, i) dx, a_i <= b_i,
+    on 1-d arrays of limits (abs_tol a scalar or one per integral).  An
+    empty integral, a_i = b_i, is 0 and never reaches f.
 
-    Each integral starts from [a_i, b_i] cut at the points inside it, and
+    points are break points: a sequence shared by every integral, or an
+    array with one row per integral (nan where a row has fewer).  Each
+    integral starts from [a_i, b_i] cut at its points inside it, and
     its intervals with the largest errors are bisected until its summed
     error is at most half of tol_i = max(abs_tol, rel_tol |value_i|), it
     holds `limit` intervals, or its summed error has not reached a new low
@@ -193,16 +209,18 @@ def quad(
     the tolerances tol_i; an integral has missed where err_i > tol_i.
     """
     n = a.size
-    if points:
-        lo, hi, owner = [], [], []
-        for i in range(n):
-            edges = [a[i], *sorted(p for p in points if a[i] < p < b[i]), b[i]]
-            lo += edges[:-1]
-            hi += edges[1:]
-            owner += [i] * (len(edges) - 1)
-        lo, hi, owner = np.array(lo), np.array(hi), np.array(owner)
+    if len(points):
+        # one row of edges per integral: a_i, its points and b_i, a point
+        # outside [a_i, b_i] (or nan) moved onto a limit, where the empty
+        # interval it makes is dropped, as are those of an empty integral
+        a, b = a[:, None], b[:, None]
+        edges = np.sort(np.concatenate([a, np.fmax(np.fmin(points, b), a), b], axis=1), axis=1)
+        lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        keep = np.flatnonzero(hi > lo)
+        lo, hi, owner = lo[keep], hi[keep], keep // (edges.shape[1] - 1)
     else:
-        lo, hi, owner = a.astype(float), b.astype(float), np.arange(n)
+        owner = np.flatnonzero(b > a)
+        lo, hi = a[owner].astype(float), b[owner].astype(float)
     val, err = _kronrod(f, lo, hi, owner)
     best = np.full(n, np.inf)
     stall = np.zeros(n, dtype=int)
@@ -231,9 +249,9 @@ def quad(
 
 
 def integrate_finite(
-    f: Callable[[np.ndarray], Any],
-    a: float,
-    b: float,
+    f: Callable[..., Any],
+    a,
+    b,
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
     points: tuple[float, ...] = (),
@@ -246,7 +264,13 @@ def integrate_finite(
     max(abs_tol, rel_tol*|value|) where refinement ends (max_subdivisions
     intervals, or no progress), and NonFiniteIntegrand if f returns nan/inf
     inside the range.
+
+    Given an array of limits, it is integrate_batch: f is called as
+    f(x, k), and the results are arrays.  The assembly's batches of times
+    take this form, through the binding the benchmark's tracer counts.
     """
+    if np.ndim(a) or np.ndim(b):
+        return integrate_batch(f, a, b, spec, points=points)
     return integrate_batch(lambda x, k: f(x), float(a), float(b), spec, points=points)
 
 
@@ -270,32 +294,19 @@ def integrate_batch(
     ToleranceNotMet carrying the values and error estimates in the same
     form.
     """
-    a, b, atol = np.broadcast_arrays(
-        np.asarray(a, dtype=float),
-        np.asarray(b, dtype=float),
-        np.asarray(spec.abs_tol if abs_tol is None else abs_tol, dtype=float),
-    )
-    shape = a.shape
-    a, b, atol = a.ravel(), b.ravel(), atol.ravel()
+    atol = spec.abs_tol if abs_tol is None else abs_tol
+    a, b, atol = (np.asarray(x, dtype=float) for x in (a, b, atol))
+    # broadcast by adding zeros: np.broadcast_arrays costs ~10 us more a
+    # call, and a field grid point makes three of them
+    zero = np.zeros(np.broadcast(a, b, atol).shape)
+    shape = zero.shape
+    a, b, atol = (a + zero).ravel(), (b + zero).ravel(), (atol + zero).ravel()
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidParam("integration limits must be finite")
     if (a > b).any():
         i = int(np.argmax(a > b))
         raise InvalidParam(f"integration requires a <= b, got ({a[i]}, {b[i]})")
-    value = np.zeros(a.size, dtype=complex)
-    err = np.zeros(a.size)
-    tol = np.full(a.size, np.inf)
-    idx = np.flatnonzero(b > a)
-    if idx.size:
-        value[idx], err[idx], tol[idx] = quad(
-            lambda x, k: f(x, idx[k]),
-            a[idx],
-            b[idx],
-            atol[idx],
-            spec.rel_tol,
-            spec.max_subdivisions,
-            points,
-        )
+    value, err, tol = quad(f, a, b, atol, spec.rel_tol, spec.max_subdivisions, points)
     if shape:
         out = IntegralResult(value.reshape(shape), err.reshape(shape))
     else:

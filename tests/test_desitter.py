@@ -34,7 +34,7 @@ from dswave import (
     spherical_harmonic,
     wave_block,
 )
-from dswave import errors
+from dswave import desitter, errors
 from dswave.desitter import FieldGrid
 
 SQRT2 = math.sqrt(2.0)
@@ -344,6 +344,74 @@ class TestEvaluateGrid:
         assert grid.sample(0, 1).err_flag == "ToleranceNotMet"
 
 
+class TestArrayOfTimes:
+    # t = 0, early times (e^{-H t} >= 0.05) and late ones in one array; the
+    # repeated t = 14 sits in a different block of the same passes
+    TIMES = np.array([14.0, 0.0, 0.8, 2.5, 22.0, 3.5, 14.0])
+
+    @staticmethod
+    def _modes(m):
+        # the pionic atom with its velocity, and a Gaussian without
+        return [pionic_mode(2, 1, energy=m), ModeState(ell=1, m=0, f0=gaussian_profile(1))]
+
+    # at r = 0.85 the blocks kink inside the endpoint layer of the late times
+    @pytest.mark.parametrize("r", [0.7, 0.85])
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_remainder_equals_scalar_calls(self, m, r):
+        params = PhysicalParams(H=1.0, m=m)
+        for mode in self._modes(m):
+            got = ita_remainder(mode, params, r, self.TIMES)
+            assert got.shape == self.TIMES.shape
+            for g, t in zip(got, self.TIMES):
+                want = ita_remainder(mode, params, r, float(t))
+                assert abs(g - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_assemble_equals_scalar_calls(self, m):
+        # the lead and the convolutions cancel at late times (at m = 2,
+        # t = 14 the field is ~1/500 of either), so the scalar and array
+        # results are compared on the scale of the terms they sum
+        params = PhysicalParams(H=1.0, m=m)
+        for mode in self._modes(m):
+            w0 = lambda r, s: wave_block(mode.f0, 1, r, s)
+            w1 = None if mode.f1 is None else (lambda r, s: wave_block(mode.f1, 1, r, s))
+            got = ita_assemble(w0, params, 0.7, self.TIMES, w1)
+            assert got.shape == self.TIMES.shape
+            for g, t in zip(got, self.TIMES):
+                want = ita_assemble(w0, params, 0.7, float(t), w1)
+                scale = abs(want) + abs(ita_remainder(mode, params, 0.7, float(t)))
+                assert abs(g - want) <= 1e-14 * scale
+
+    def test_groups_of_times(self, monkeypatch):
+        # times beyond one group go through in several passes, unchanged
+        mode, params = pionic_mode(2, 1, energy=2.0), PhysicalParams(H=1.0, m=2.0)
+        whole = ita_remainder(mode, params, 0.7, self.TIMES)
+        monkeypatch.setattr(desitter, "_TIME_GROUP", 2)
+        grouped = ita_remainder(mode, params, 0.7, self.TIMES)
+        assert (np.abs(grouped - whole) <= 1e-14 * np.abs(whole)).all()
+
+    def test_late_miss_carries_every_time(self):
+        # the monopole block has no inner integral: the convolutions of the
+        # times are the integrals that miss, and the exception carries the
+        # estimates of all of them
+        mode = ModeState(ell=0, m=0, f0=gaussian_profile(0))
+        params = PhysicalParams(H=1.0, m=1.0)
+        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-16)
+        times = np.array([14.0, 20.0, 0.0])
+        with pytest.raises(ToleranceNotMet) as miss:
+            ita_remainder(mode, params, 0.7, times, spec)
+        value, err = miss.value.value, miss.value.err_est
+        assert value.shape == err.shape == times.shape
+        assert value[2] == 0.0 and err[2] == 0.0
+        want = ita_remainder(mode, params, 0.7, times)
+        assert (np.abs(value - want) <= 1e-6 * np.abs(want)).all()
+        assert (err[:2] > 0.0).all() and np.isfinite(err).all()
+        with pytest.raises(ToleranceNotMet) as one:
+            ita_remainder(mode, params, 0.7, 14.0, spec)
+        assert np.ndim(one.value.value) == 0
+        assert abs(one.value.value - value[0]) <= 1e-14 * abs(value[0])
+
+
 class TestDecayClassify:
     @pytest.mark.parametrize(
         "m,regime,expo,poly",
@@ -374,7 +442,7 @@ class TestDecayClassify:
 
 class TestDecayFit:
     def test_synthetic_exponential_recovered_exactly(self):
-        rep = decay_fit(lambda t: 3.0 * math.exp(-0.77 * t), (2.0, 12.0), 9)
+        rep = decay_fit(lambda t: 3.0 * np.exp(-0.77 * t), (2.0, 12.0), 9)
         assert rep.regime == "synthetic"
         assert rep.fitted_exponent == pytest.approx(-0.77, abs=1e-12)
         assert rep.fit_residual < 1e-12
@@ -382,7 +450,7 @@ class TestDecayFit:
 
     def test_synthetic_poly_factor_recovered(self):
         rep = decay_fit(
-            lambda t: (1.0 + t) ** 2 * math.exp(-0.5 * t),
+            lambda t: (1.0 + t) ** 2 * np.exp(-0.5 * t),
             (2.0, 12.0),
             12,
             fit_poly_power=True,
@@ -392,7 +460,7 @@ class TestDecayFit:
 
     def test_prediction_attached_when_params_given(self):
         rep = decay_fit(
-            lambda t: math.exp(-t),
+            lambda t: np.exp(-t),
             (2.0, 10.0),
             8,
             params=PhysicalParams(H=1.0, m=SQRT2),
@@ -401,23 +469,38 @@ class TestDecayFit:
         assert rep.predicted_exponent == -1.0
         assert rep.fitted_exponent == pytest.approx(-1.0, abs=1e-12)
 
+    def test_sampler_called_once_with_every_time(self):
+        calls = []
+
+        def sampler(t):
+            calls.append(t)
+            return np.exp(-t)
+
+        decay_fit(sampler, (2.0, 10.0), 8)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.linspace(2.0, 10.0, 8))
+
     def test_underflow_raises_degenerate_fit(self):
         with pytest.raises(DegenerateFit):
-            decay_fit(lambda t: 0.0, (1.0, 5.0), 6)
+            decay_fit(lambda t: np.zeros_like(t), (1.0, 5.0), 6)
+
+    def test_sampler_must_return_one_value_per_time(self):
+        with pytest.raises(InvalidParam):
+            decay_fit(lambda t: 1.0, (1.0, 5.0), 6)
 
     def test_discard_fraction_trims_dips(self):
         def dipped(t):
-            base = math.exp(-t)
-            return base * (1e-6 if abs(t - 5.0) < 0.4 else 1.0)
+            base = np.exp(-t)
+            return base * np.where(np.abs(t - 5.0) < 0.4, 1e-6, 1.0)
 
         clean = decay_fit(dipped, (2.0, 10.0), 17, discard_fraction=0.2)
         assert clean.fitted_exponent == pytest.approx(-1.0, abs=1e-6)
 
     def test_window_validation(self):
         with pytest.raises(InvalidParam):
-            decay_fit(lambda t: math.exp(-t), (5.0, 2.0), 8)
+            decay_fit(lambda t: np.exp(-t), (5.0, 2.0), 8)
         with pytest.raises(InvalidParam):
-            decay_fit(lambda t: math.exp(-t), (1.0, 5.0), 3)
+            decay_fit(lambda t: np.exp(-t), (1.0, 5.0), 3)
 
 
 class TestRemainderEnvelope:

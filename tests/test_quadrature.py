@@ -15,6 +15,7 @@ from dswave import (
     integrate_finite,
     integrate_semi_infinite_oscillatory,
 )
+from dswave import quadrature
 from dswave.quadrature import integrate_batch, integrate_oscillatory_batch
 from dswave.specfun import bessel_j_half
 
@@ -101,6 +102,15 @@ class TestIntegrateBatch:
             assert batch.value[i] == one.value
             assert batch.err_est[i] == one.err_est
 
+    def test_integrate_finite_over_array_limits_is_the_batch(self):
+        freq = np.array([0.5, 3.0, 17.0])
+        hi = np.array([1.0, 2.0, 0.5])
+        f = lambda x, k: np.exp(1j * freq[k] * x * x)
+        batch = integrate_batch(f, 0.0, hi, points=(0.3,))
+        res = integrate_finite(f, np.zeros(3), hi, points=(0.3,))
+        assert np.array_equal(res.value, batch.value)
+        assert np.array_equal(res.err_est, batch.err_est)
+
     def test_scalar_limits_give_scalars(self):
         res = integrate_batch(lambda x, k: x * x, 0.0, 3.0)
         assert isinstance(res.value, complex) and isinstance(res.err_est, float)
@@ -114,11 +124,57 @@ class TestIntegrateBatch:
         assert np.allclose(res.value, want, rtol=1e-14, atol=0.0)
         assert res.err_est[1, 1] == 0.0
 
+    @pytest.mark.parametrize("points", [(), (0.5,)])
+    def test_empty_integrals_never_reach_the_integrand(self, points):
+        # an integrand that is not finite at the limits of the empty ones
+        f = lambda x, k: 1.0 / (x - 1.0) ** 2 + 0.0 * k
+        res = integrate_batch(f, [1.0, 2.0, 1.0], [1.0, 3.0, 1.0], points=points)
+        assert res.value[0] == res.value[2] == 0.0
+        assert res.value[1] == pytest.approx(0.5, rel=1e-13)
+        called = []
+        res = integrate_batch(lambda x, k: called.append(x) or x, [1.0, 1.0], 1.0, points=points)
+        assert not called and (res.value == 0.0).all() and (res.err_est == 0.0).all()
+
     def test_split_points_apply_to_every_integral(self):
         lo = np.array([0.0, 0.5, 1.5])
         res = integrate_batch(lambda x, k: np.abs(x - 1.0), lo, 2.0, points=(1.0,))
         want = [1.0, 0.625, 0.375]
         assert res.value.real == pytest.approx(want, rel=1e-13)
+
+    def test_break_point_per_integral(self):
+        # one row of break points per integral (nan: none) cuts each integral
+        # as a shared tuple holding that row would cut it alone
+        lo, hi = np.array([0.0, 0.0, 1.0]), np.array([2.0, 2.0, 3.0])
+        cuts = np.array([[1.0], [np.nan], [2.5]])
+        kink = np.array([1.0, 0.7, 2.5])
+        f = lambda x, k: np.abs(x - kink[k])
+        value, err, _ = quadrature.quad(f, lo, hi, 1e-10, 1e-8, 200, cuts)
+        assert value.real == pytest.approx([1.0, 1.09, 1.25], rel=1e-8)
+        for i in range(3):
+            pts = () if np.isnan(cuts[i, 0]) else (cuts[i, 0],)
+            v, e, _ = quadrature.quad(lambda x, k: f(x, i), lo[i:i + 1], hi[i:i + 1],
+                                      1e-10, 1e-8, 200, pts)
+            assert value[i] == v[0] and err[i] == e[0]
+
+    def test_interval_cap_per_integrand_call(self, monkeypatch):
+        # the integrand sees at most _MAX_INTERVALS intervals a call, and the
+        # batch comes out as one uncapped pass
+        freq = np.array([0.5, 3.0, 17.0, 40.0, 90.0])
+        hi = np.array([1.0, 2.0, 0.5, 3.0, 2.5])
+        sizes = []
+
+        def f(x, k):
+            sizes.append(x.shape[0])
+            return np.exp(1j * freq[k] * x * x)
+
+        whole = integrate_batch(f, 0.0, hi, points=(0.3, 1.1))
+        assert max(sizes) > 3
+        sizes.clear()
+        monkeypatch.setattr(quadrature, "_MAX_INTERVALS", 3)
+        capped = integrate_batch(f, 0.0, hi, points=(0.3, 1.1))
+        assert max(sizes) == 3
+        assert np.array_equal(capped.value, whole.value)
+        assert np.array_equal(capped.err_est, whole.err_est)
 
     def test_tolerance_failure_carries_every_estimate(self):
         spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
