@@ -243,15 +243,15 @@ _TIME_GROUP = 16
 
 
 def _ita_group(
-    w0: Callable[[float, np.ndarray], np.ndarray],
+    blocks: tuple[Callable, Callable | None, complex],
     params: PhysicalParams,
     r: float,
     ts: np.ndarray,
-    w1: Callable[[float, np.ndarray], np.ndarray] | None,
     spec: QuadratureSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The damped convolutions of _ita_integrals at the times ts (1-d, each
     with phi(t) > 0): their values, error estimates and misses."""
+    w0, w1, c = blocks
     h = params.H
     n_h = params.n * h
     # math's exp and expm1 per time: numpy's vector exp rounds a few percent
@@ -262,9 +262,9 @@ def _ita_group(
     late = qs < 0.05
 
     def combine(ke: kernels.KernelEval, s: np.ndarray) -> np.ndarray:
-        # all nodes of a quadrature pass at once: one batch of wave blocks
-        # per profile and one array kernel evaluation
-        out = (2.0 * ke.k0 + n_h * ke.k1) * w0(r, s)
+        # all nodes of a quadrature pass at once: one array kernel evaluation
+        # and one batch of wave blocks per profile, v1 = c v0 riding on v0's
+        out = (2.0 * ke.k0 + (n_h + 2.0 * c) * ke.k1) * w0(r, s)
         if w1 is not None:
             out += 2.0 * ke.k1 * w1(r, s)
         return out
@@ -323,19 +323,18 @@ def _shaped(values: np.ndarray, shape: tuple[int, ...], kind: type = complex):
 
 
 def _ita_integrals(
-    w0: Callable[[float, np.ndarray], np.ndarray],
+    blocks: tuple[Callable, Callable | None, complex],
     params: PhysicalParams,
     r: float,
     t: float | np.ndarray,
-    w1: Callable[[float, np.ndarray], np.ndarray] | None,
     spec: QuadratureSpec,
 ) -> complex | np.ndarray:
     """The damped kernel convolutions of ita_assemble at one r for a time
-    or an array of times, as one integral of (2 K0 + n H K1) v0 + 2 K1 v1
-    per time, each node with one kernel evaluation.  The times are taken
-    in groups of _TIME_GROUP.  A time whose convolution misses its
-    tolerance raises ToleranceNotMet once every time is done, carrying
-    the values and error estimates of all of them."""
+    or an array of times, as one integral of (2 K0 + n H K1 + 2 c K1) v0 +
+    2 K1 v1 per time, blocks = (v0, v1, c), v1 None for a velocity c v0;
+    each node with one kernel evaluation, the times in groups of
+    _TIME_GROUP.  A miss raises ToleranceNotMet once every time is done,
+    carrying the values and error estimates of all of them."""
     ts = np.asarray(t, dtype=float)
     shape = ts.shape
     ts = ts.ravel()
@@ -346,7 +345,7 @@ def _ita_integrals(
     run = np.flatnonzero(ts > 0.0)
     for i in range(0, run.size, _TIME_GROUP):
         group = run[i:i + _TIME_GROUP]
-        total[group], err[group], missed[group] = _ita_group(w0, params, r, ts[group], w1, spec)
+        total[group], err[group], missed[group] = _ita_group(blocks, params, r, ts[group], spec)
     if missed.any():
         i = int(np.argmax(missed))
         more = int(missed.sum()) - 1
@@ -389,15 +388,26 @@ def ita_assemble(
     any time raises ToleranceNotMet carrying every time's convolution
     values and error estimates.
     """
+    return _assemble((wave_solution, wave_solution_1, 0.0), params, r, t, spec)
+
+
+def _assemble(blocks, params: PhysicalParams, r: float, t, spec: QuadratureSpec):
     _check_point(None, params, r, t)
     ts = np.asarray(t, dtype=float)
     h = params.H
-    lead = np.array([math.exp(-0.5 * (params.n - 1) * h * s) for s in ts.flat]) * wave_solution(
+    lead = np.array([math.exp(-0.5 * (params.n - 1) * h * s) for s in ts.flat]) * blocks[0](
         r, np.array([phi_of_t(s, h) for s in ts.flat])
     )
-    return _shaped(lead, ts.shape) + _ita_integrals(
-        wave_solution, params, r, t, wave_solution_1, spec
-    )
+    return _shaped(lead, ts.shape) + _ita_integrals(blocks, params, r, t, spec)
+
+
+def _velocity(mode: ModeState, spec: QuadratureSpec, spectral: bool, kind: int) -> tuple:
+    """(c, None) where the velocity f1 is c f0 (c = 0 without f1): the blocks
+    of f0 then serve f1 too, which carries |c| times their error.  For any
+    other f1, (0, its block of _blocks' kind: 0 data, 1 velocity)."""
+    f0, f1 = mode.f0, mode.f1
+    base, c = (f0, 0.0) if f1 is None else (f0, 1.0) if f1 is f0 else f1._scale or (f1, 0.0)
+    return (c, None) if base is f0 else (0.0, _blocks(f1, spec, spectral)[kind])
 
 
 def ita_remainder(
@@ -412,9 +422,8 @@ def ita_remainder(
     this is the piece whose late-time envelope the decay machinery
     classifies."""
     _check_point(mode, params, r, t)
-    data0 = _blocks(mode.f0, spec, spectral=False)[0]
-    data1 = None if mode.f1 is None else _blocks(mode.f1, spec, spectral=False)[0]
-    return _ita_integrals(data0, params, r, t, data1, spec)
+    c, data1 = _velocity(mode, spec, False, 0)
+    return _ita_integrals((_blocks(mode.f0, spec, False)[0], data1, c), params, r, t, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +435,8 @@ def _field(mode: ModeState, params: PhysicalParams, r: float, t: float, theta: f
     """Y times ita_assemble of the data blocks of f0 and f1."""
     _check_point(mode, params, r, t)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
-    data0 = _blocks(mode.f0, spec, spectral)[0]
-    data1 = None if mode.f1 is None else _blocks(mode.f1, spec, spectral)[0]
-    return y * ita_assemble(data0, params, r, t, data1, spec=spec)
+    c, data1 = _velocity(mode, spec, spectral, 0)
+    return y * _assemble((_blocks(mode.f0, spec, spectral)[0], data1, c), params, r, t, spec)
 
 
 def _huygens(mode: ModeState, params: PhysicalParams, r: float, t: float, theta: float,
@@ -445,9 +453,10 @@ def _huygens(mode: ModeState, params: PhysicalParams, r: float, t: float, theta:
     pt = phi_of_t(t, h)
     y = spherical_harmonic(mode.ell, mode.m, theta, phi)
     data0, velocity0 = _blocks(mode.f0, spec, spectral)
-    v = data0(r, pt) + h * velocity0(r, pt)
-    if mode.f1 is not None:
-        v += _blocks(mode.f1, spec, spectral)[1](r, pt)
+    c, velocity1 = _velocity(mode, spec, spectral, 1)
+    v = data0(r, pt) + (h + c) * velocity0(r, pt)
+    if velocity1 is not None:
+        v += velocity1(r, pt)
     return y * math.exp(-h * t) * v
 
 

@@ -26,13 +26,13 @@ of the package (``dswave.oracle`` samples its snapshots with it too).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InvalidParam, ToleranceNotMet, UnsupportedEll
+from .errors import DomainError, InvalidParam, NonFiniteIntegrand, ToleranceNotMet, UnsupportedEll
 from .quadrature import (
     DEFAULT_SPEC,
     LAMBDA_MAX,
@@ -75,6 +75,7 @@ class RadialProfile:
     mu: float
     parity_ell: int
     hankel: Callable[[float], complex] | None = None
+    _scale: tuple[RadialProfile, complex] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.parity_ell < 0:
@@ -175,12 +176,15 @@ def gaussian_profile(
 
 
 def scaled_profile(profile: RadialProfile, coef: complex) -> RadialProfile:
-    """The profile multiplied by a constant (possibly complex) factor."""
+    """The profile times a constant (possibly complex) factor, recorded with its base."""
+    if profile._scale is not None:
+        profile, coef = profile._scale[0], profile._scale[1] * coef
     base_hat = profile.hankel
     return replace(
         profile,
         func=lambda x: coef * profile.func(x),
         hankel=None if base_hat is None else (lambda lam: coef * base_hat(lam)),
+        _scale=(profile, coef),
     )
 
 
@@ -554,6 +558,10 @@ def _hankel_block(
     run = np.arange(flat.size) if cos_w else np.flatnonzero(flat != 0.0)
     if not run.size:
         return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
+    # the tail's split: J_{ell+1/2}(x) = sqrt(2/(pi x)) (A(1/x) sin x + B(1/x) cos x)
+    acoef, bcoef = bessel_trig_split(ell)
+    if not all(map(math.isfinite, acoef + bcoef)):
+        raise NonFiniteIntegrand(f"ell={ell}: the Bessel split's coefficients overflow")
     w = flat[run]
     lam0 = max(40.0, 3.0 * (ell + 2) / r)
     fmax = r + np.abs(w)
@@ -587,8 +595,6 @@ def _hankel_block(
     ).value
     total = np.bincount(owner, pan.real, w.size) + 1j * np.bincount(owner, pan.imag, w.size)
 
-    # tail components: J_{ell+1/2}(x) = sqrt(2/(pi x)) (A(1/x) sin x + B(1/x) cos x)
-    acoef, bcoef = bessel_trig_split(ell)
     pref = math.sqrt(2.0 / (math.pi * r))
     if cos_w:
         def g(lam):

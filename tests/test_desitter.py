@@ -34,7 +34,7 @@ from dswave import (
     spherical_harmonic,
     wave_block,
 )
-from dswave import desitter, errors
+from dswave import desitter, errors, minkowski
 from dswave.desitter import FieldGrid
 
 SQRT2 = math.sqrt(2.0)
@@ -276,6 +276,14 @@ class TestFieldMethods:
         with pytest.raises(InvalidParam):
             field_riemann_huygens(mode, params, 0.5, 0.5)
 
+    def test_spectral_arm_flags_ell_beyond_the_bessel_split(self):
+        # from ell = 151 the trig split of the spectral tail overflows; the
+        # point is refused before any arithmetic meets the infinities (the
+        # suite turns a RuntimeWarning into an error)
+        mode = ModeState(170, 0, gaussian_profile(170, 0.5))
+        with pytest.raises(errors.NonFiniteIntegrand, match="ell=170"):
+            field_hankel(mode, PhysicalParams(H=1.0, m=2.0), 1.5, 1.0)
+
     def test_heavy_mass_field_is_real(self):
         mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
         params = PhysicalParams(H=1.0, m=2.0)
@@ -410,6 +418,84 @@ class TestArrayOfTimes:
             ita_remainder(mode, params, 0.7, 14.0, spec)
         assert np.ndim(one.value.value) == 0
         assert abs(one.value.value - value[0]) <= 1e-14 * abs(value[0])
+
+
+class TestVelocityOnTheDataBlocks:
+    """A velocity f1 = c f0 rides on the blocks of f0, c folded into the
+    kernel weight (and the Huygens bracket); the same f1 built as a profile
+    of its own takes blocks of its own."""
+
+    _g = gaussian_profile(1)
+    MODES = {
+        "pionic E=0.5": pionic_mode(2, 1, energy=0.5),
+        "pionic E=2": pionic_mode(2, 1, energy=2.0),
+        "gauss": ModeState(1, 0, _g, scaled_profile(_g, -0.4j)),
+    }
+    TIMES = np.linspace(14.0, 34.0, 7)
+
+    @staticmethod
+    def _own_blocks(mode):
+        f1 = mode.f1
+        own = RadialProfile(func=f1.func, mu=f1.mu, parity_ell=f1.parity_ell, hankel=f1.hankel)
+        return ModeState(mode.ell, mode.m, mode.f0, own)
+
+    @pytest.mark.parametrize("name", list(MODES))
+    def test_one_block_batch_equals_two(self, name):
+        mode = self.MODES[name]
+        other = self._own_blocks(mode)
+        assert desitter._velocity(other, QuadratureSpec(), False, 0)[1] is not None
+        heavy, huygens = PhysicalParams(H=1.0, m=2.0), PhysicalParams(H=1.0, m=SQRT2)
+        calls = [
+            (field_riemann, heavy, 1.2, 1.0, 1e-12),
+            (field_riemann, heavy, 0.7, 20.0, 1e-12),
+            (field_hankel, heavy, 1.2, 1.0, 1e-12),
+            (field_riemann_huygens, huygens, 0.9, 1.5, 1e-12),
+            # a velocity block of its own is refined on its own scale: the
+            # spectral values differ at their quadrature error (7e-12 here;
+            # either is ~2e-11 from the quadrature arm)
+            (field_hankel_huygens, huygens, 0.9, 1.5, 1e-11),
+        ]
+        for fn, params, r, t, rel in calls:
+            want = fn(other, params, r, t)
+            assert abs(fn(mode, params, r, t) - want) <= rel * abs(want), fn.__name__
+        for m in (0.5, 2.0):
+            params = PhysicalParams(H=1.0, m=m)
+            want = ita_remainder(other, params, 0.7, self.TIMES)
+            got = ita_remainder(mode, params, 0.7, self.TIMES)
+            assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+
+    def test_velocity_coefficients(self):
+        f0 = self._g
+        twice = scaled_profile(scaled_profile(f0, 2.0), -0.4j)
+        for f1, c in ((None, 0.0), (f0, 1.0), (twice, -0.8j)):
+            for kind in (0, 1):
+                got = desitter._velocity(ModeState(1, 0, f0, f1), QuadratureSpec(), True, kind)
+                assert got == (c, None)
+        # f1 = f0 is the c = 1 path, and equals a velocity block of its own
+        params = PhysicalParams(H=1.0, m=2.0)
+        same = ModeState(1, 0, f0, f0)
+        want = ita_remainder(self._own_blocks(same), params, 0.7, self.TIMES)
+        got = ita_remainder(same, params, 0.7, self.TIMES)
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
+
+    def test_velocity_adds_no_block_batch(self, monkeypatch):
+        # the gain: a pionic remainder with its velocity evaluates as many
+        # wave-block batches as without it
+        calls = []
+        block = minkowski.wave_block
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(minkowski, "wave_block", counted)
+        params = PhysicalParams(H=1.0, m=2.0)
+        counts = []
+        for energy in (None, 2.0):
+            calls.clear()
+            ita_remainder(pionic_mode(2, 1, energy=energy), params, 0.7, self.TIMES)
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[1] == counts[0]
 
 
 class TestDecayClassify:

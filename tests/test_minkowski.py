@@ -106,6 +106,10 @@ class TestProfiles:
         scaled = scaled_profile(base, -2j)
         assert scaled(0.9) == pytest.approx(-2j * base(0.9), rel=1e-15)
         assert scaled.hankel(1.1) == pytest.approx(-2j * base.hankel(1.1), rel=1e-15)
+        # scaling again scales the base by the product, which is recorded
+        again = scaled_profile(scaled, 0.5)
+        assert again._scale[0] is base and again._scale[1] == -1j
+        assert again(0.9) == pytest.approx(-1j * base(0.9), rel=1e-15)
 
     def test_tabulated_profile_matches_source(self):
         src = gaussian_profile(1)
