@@ -594,40 +594,52 @@ def _write_rows(
     _emit(cfg, write_csv)
 
 
+def _points(grid: FieldGrid) -> list[tuple[float, float]]:
+    # the (r, t) of every grid point, in the row-major order of its arrays
+    return [(r, t) for r in grid.r_values for t in grid.t_values]
+
+
+def _flags(grid: FieldGrid) -> list[str]:
+    return [flag for row in grid.err_flags for flag in row]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_eval(cfg: dict[str, Any]) -> int:
     grid = _run_grid(cfg, cfg["method"], cfg["jobs"])
-    rows = [[s.r, s.t, s.value.real, s.value.imag, s.method, s.err_flag] for s in grid]
+    flags = _flags(grid)
+    rows = [[r, t, v.real, v.imag, grid.method, flag]
+            for (r, t), v, flag in zip(_points(grid), grid.values.ravel().tolist(), flags)]
     _write_rows(cfg, "eval", ("r", "t", "re", "im", "method", "err_flag"), rows)
-    failed = any(s.err_flag != "ok" for s in grid)
-    return 2 if failed else 0
+    return 2 if any(flag != "ok" for flag in flags) else 0
 
 
 def cmd_compare(cfg: dict[str, Any]) -> int:
     grid_a = _run_grid(cfg, cfg["method"], cfg["jobs"])
     grid_b = _run_grid(cfg, cfg["method_b"], cfg["jobs"])
+    points = _points(grid_a)
     bad = [
-        (s_a.r, s_a.t, s_a.err_flag, s_b.err_flag)
-        for s_a, s_b in zip(grid_a, grid_b)
-        if s_a.err_flag != "ok" or s_b.err_flag != "ok"
+        (r, t, fa, fb)
+        for (r, t), fa, fb in zip(points, _flags(grid_a), _flags(grid_b))
+        if fa != "ok" or fb != "ok"
     ]
     max_abs = 0.0
     max_rel = 0.0
     worst: dict[str, Any] | None = None
     if not bad:
-        for s_a, s_b in zip(grid_a, grid_b):
-            diff = abs(s_a.value - s_b.value)
-            rel = diff / (1.0 + max(abs(s_a.value), abs(s_b.value)))
+        values = zip(grid_a.values.ravel().tolist(), grid_b.values.ravel().tolist())
+        for (r, t), (a, b) in zip(points, values):
+            diff = abs(a - b)
+            rel = diff / (1.0 + max(abs(a), abs(b)))
             max_abs = max(max_abs, diff)
             if rel >= max_rel:
                 max_rel = rel
                 worst = {
-                    "r": s_a.r,
-                    "t": s_a.t,
-                    "value_a": [s_a.value.real, s_a.value.imag],
-                    "value_b": [s_b.value.real, s_b.value.imag],
+                    "r": r,
+                    "t": t,
+                    "value_a": [a.real, a.imag],
+                    "value_b": [b.real, b.imag],
                     "abs_diff": diff,
                 }
     passed = not bad and max_rel <= cfg["tolerance"]

@@ -44,7 +44,6 @@ from .specfun import assoc_laguerre, hyp2f1, spherical_harmonic
 
 __all__ = [
     "ALPHA_FS",
-    "FieldSample",
     "FieldGrid",
     "DeSitterField",
     "DecayReport",
@@ -67,15 +66,6 @@ ALPHA_FS = 1.0 / 137.0
 
 # ---------------------------------------------------------------------------
 # Result containers
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    r: float
-    t: float
-    value: complex
-    method: str
-    err_flag: str = "ok"
 
 
 @dataclass
@@ -114,20 +104,6 @@ class FieldGrid:
                         f"non-finite value at r={self.r_values[i]}, "
                         f"t={self.t_values[j]} not flagged"
                     )
-
-    def sample(self, i: int, j: int) -> FieldSample:
-        return FieldSample(
-            r=self.r_values[i],
-            t=self.t_values[j],
-            value=complex(self.values[i, j]),
-            method=self.method,
-            err_flag=self.err_flags[i][j],
-        )
-
-    def __iter__(self):
-        for i in range(len(self.r_values)):
-            for j in range(len(self.t_values)):
-                yield self.sample(i, j)
 
 
 @dataclass(frozen=True)
@@ -197,48 +173,30 @@ def _kernels(evaluate, x, t, params: PhysicalParams) -> kernels.KernelEval:
         raise NonFiniteIntegrand(f"convolution kernel: {exc}") from None
 
 
-def _panel_quad(g: Callable[[np.ndarray, np.ndarray], np.ndarray], xi_max: np.ndarray,
+def _panel_quad(g: Callable[[np.ndarray, np.ndarray], np.ndarray], tops: np.ndarray,
                 xi_r: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The endpoint layers int_1^{xi_max_j} g(xi, j) dxi of the times j in
-    one engine pass: the geometric panels [4^k, 4^{k+1}] of each [1,
-    xi_max_j], each seeing at most a few units of ln xi, are the integrals
-    of one batch, cut at xi_r_j where the blocks of time j kink (nan: no
-    cut).  Returns each time's summed value and error estimate.
-
-    Each panel is refined to abs_tol/16 or a relative 1e-6, in at most 32
-    intervals, and none of them raises: the blocks feeding g carry
-    quadrature noise near their own rel_tol, amplified by the large kernel
-    values, which an estimator chases to no end.  The caller judges each
-    time's summed error instead.
+    """The integrals int_1^{tops_j} g(xi, j) dxi of the times j in one
+    engine pass, each cut into the geometric panels [4^k, 4^{k+1}] of [1,
+    tops_j], which see at most a few units of ln xi, and at xi_r_j, where
+    the blocks of time j kink.  Each integral is held to the spec as a
+    whole, in at most max_subdivisions intervals per panel.  Returns the
+    values and error estimates.
     """
-    lo, hi, counts = [], [], []
-    for top in xi_max:
-        edges = [1.0]
-        while 4.0 * edges[-1] < top:
-            edges.append(4.0 * edges[-1])
-        edges.append(float(top))
-        lo += edges[:-1]
-        hi += edges[1:]
-        counts.append(len(edges) - 1)
-    time = np.repeat(np.arange(len(counts)), counts)
+    powers = 4.0 ** np.arange(1, math.ceil(math.log(tops.max(), 4.0)) + 1)
+    inside = powers < tops[:, None]
     # through the module binding, which the benchmark's tracer counts
-    value, err, _ = quadrature.quad(
-        lambda xi, k: g(xi, time[k]), np.array(lo), np.array(hi), spec.abs_tol / 16.0, 1e-6,
-        32, xi_r[time, None],
-    )
-    ends = np.cumsum(counts)
-    # each time's panels summed by ndarray.sum, pairwise, as one time's
-    # layer alone is summed; np.add.reduceat adds in sequence, which rounds
-    # the late-time values differently
-    return (np.array([value[e - c:e].sum() for c, e in zip(counts, ends)]),
-            np.array([err[e - c:e].sum() for c, e in zip(counts, ends)]))
+    return quadrature.quad(
+        g, np.ones(tops.size), tops, spec.abs_tol, spec.rel_tol,
+        spec.max_subdivisions * (1 + inside.sum(axis=1)),
+        np.column_stack([np.where(inside, powers, np.nan), xi_r]),
+    )[:2]
 
 
-# times assembled together: the direct parts of a group are one engine
-# pass and its endpoint layers another, so that the nested block batches
-# stay bounded however many times a caller hands over.  16 is the largest
-# group at the lowest peak memory of a 5,000-sample decay fit; larger ones
-# gain at most ~10% in time there for ~3 MB more.
+# times assembled together: the early integrals of a group are one engine
+# pass and its late ones another, so that the nested block batches stay
+# bounded however many times a caller hands over.  16 is the largest group
+# at the lowest peak memory of a 5,000-sample decay fit; larger ones gain at
+# most ~10% in time there for ~3 MB more.
 _TIME_GROUP = 16
 
 
@@ -269,8 +227,8 @@ def _ita_group(
             out += 2.0 * ke.k1 * w1(r, s)
         return out
 
-    # a miss of the blocks nested in the direct pass passes through; the
-    # pass's own miss is judged with the layers, below, on its estimates
+    # a miss of the blocks nested in the early pass passes through; the
+    # pass's own miss is judged with the late times, below, on its estimates
     nested = []
 
     def direct(s: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -282,25 +240,23 @@ def _ita_group(
             nested.append(True)
             raise
 
-    # one integral per time on [0, phi(t)], or at late times up to the
-    # endpoint layer, cut where the integration time crosses the radius and
-    # the blocks kink
+    # early time: one integral on [0, phi(t)], cut where the integration
+    # time crosses the radius and the blocks kink; a late time's is empty
     try:
-        direct_pass = integrate_finite(direct, np.zeros(ts.size), np.where(late, 0.7 / h, pts),
-                                       spec, points=(r,))
+        direct_pass = integrate_finite(direct, np.zeros(ts.size), np.where(late, 0.0, pts), spec,
+                                       points=(r,))
     except ToleranceNotMet as exc:
         if nested:
             raise
         direct_pass = exc
     total, err = direct_pass.value, direct_pass.err_est
-    missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
     if late.any():
         # late time: the kernels grow like D^{M/H - 5/2} with D ~ 4 q near
-        # the upper endpoint; substitute H s = 1 - xi q on [0.7/H, phi(t)],
-        # which spreads the endpoint structure into a slow power law (a
-        # log-chirp when M is imaginary) in xi on [1, 0.3/q].  The block
-        # argument (1 - xi q)/h may round onto the endpoint; only the
-        # kernels need the exactly factored parametrization.
+        # the light cone; substitute H s = 1 - xi q on all of [0, phi(t)],
+        # xi in [1, 1/q], which spreads that structure into a slow power law
+        # (a log-chirp when M is imaginary) in xi.  The block argument (1 -
+        # xi q)/h may round onto the light cone; only the kernels need the
+        # exactly factored parametrization.
         lt = np.flatnonzero(late)
         tl, ql = ts[lt], qs[lt]
 
@@ -308,12 +264,16 @@ def _ita_group(
             ke = _kernels(kernels.kernel_eval_endpoint, xi, tl[k], params)
             return combine(ke, (1.0 - xi * ql[k]) / h) * (ql[k] / h)
 
-        inside = (0.7 / h < r) & (r < pts[lt])
-        layer, layer_err = _panel_quad(g, 0.3 / ql, np.where(inside, (1.0 - h * r) / ql, np.nan),
-                                       spec)
-        total[lt] += layer
-        err[lt] += layer_err
-        missed[lt] |= layer_err > 1e-4 * np.maximum(np.abs(total[lt]), 1.0)
+        if not (ql > 0.0).all():
+            # as the kernels would, which divide by q
+            raise NonFiniteIntegrand(f"e^(-H t) underflows at t={tl[np.argmin(ql > 0.0)]}")
+        # 1/q, a step lower where xi q would pass 1 under this q or the
+        # kernels' vector exp: they refuse a larger xi
+        q_top = np.maximum(ql, np.exp(-h * tl))
+        tops = 1.0 / q_top
+        tops = np.where(tops * q_top > 1.0, np.nextafter(tops, 0.0), tops)
+        total[lt], err[lt] = _panel_quad(g, tops, (1.0 - h * r) / ql, spec)
+    missed = err > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
     return damping * total, damping * err, missed
 
 
@@ -379,14 +339,14 @@ def ita_assemble(
         + 2 e^{-n H t/2} int_0^{phi(t)} K1(s, t) v1(r, s) ds.
 
     The two convolutions are one integral per time, and the integrals of
-    all times are one engine pass: each pass makes one kernel evaluation
-    and one batch of blocks per profile for all its nodes.  At late times
-    (e^{-H t} < 0.05) the part near the light cone, s > 0.7/H, is taken in
-    the endpoint parametrization H s = 1 - xi e^{-H t}: geometric panels in
-    xi, those of all late times integrated in one more pass.  The times go
-    through in groups of a fixed size, which bounds each pass.  A miss at
-    any time raises ToleranceNotMet carrying every time's convolution
-    values and error estimates.
+    all early times are one engine pass: each pass makes one kernel
+    evaluation and one batch of blocks per profile for all its nodes.  At a
+    late time (e^{-H t} < 0.05) the integral is taken whole in the endpoint
+    parametrization H s = 1 - xi e^{-H t}, on geometric panels in xi,
+    those of all late times in one more pass.  Every time is held to the
+    spec.  The times go through in groups of a fixed size, which bounds
+    each pass.  A miss at any time raises ToleranceNotMet carrying every
+    time's convolution values and error estimates.
     """
     return _assemble((wave_solution, wave_solution_1, 0.0), params, r, t, spec)
 

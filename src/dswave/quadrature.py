@@ -192,12 +192,12 @@ def quad(
     b: np.ndarray,
     abs_tol,
     rel_tol: float,
-    limit: int,
+    limit,
     points: tuple[float, ...] | np.ndarray = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive G10K21 over the batch int_{a_i}^{b_i} f(x, i) dx, a_i <= b_i,
-    on 1-d arrays of limits (abs_tol a scalar or one per integral).  An
-    empty integral, a_i = b_i, is 0 and never reaches f.
+    on 1-d arrays of limits (abs_tol and limit a scalar or one per
+    integral).  An empty integral, a_i = b_i, is 0 and never reaches f.
 
     points are break points: a sequence shared by every integral, or an
     array with one row per integral (nan where a row has fewer).  Each
@@ -225,8 +225,9 @@ def quad(
     best = np.full(n, np.inf)
     stall = np.zeros(n, dtype=int)
     while True:
+        # float sums even with no interval: bincount of empty weights is int
         total = np.bincount(owner, val.real, n) + 1j * np.bincount(owner, val.imag, n)
-        errsum = np.bincount(owner, err, n)
+        errsum = np.bincount(owner, err, n).astype(float, copy=False)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         room = limit - np.bincount(owner, minlength=n)
         stall = np.where(errsum < best, 0, stall + 1)

@@ -299,20 +299,21 @@ class TestEvaluateGrid:
         field = evaluate_grid(mode, params, "riemann", [0.5, 1.0], [0.0, 0.7, 1.3])
         assert field.grid.values.shape == (2, 3)
         assert all(f == "ok" for row in field.grid.err_flags for f in row)
-        samples = list(field.grid)
-        assert len(samples) == 6
-        assert samples[0].r == 0.5 and samples[0].t == 0.0
-        assert samples[0].method == "riemann"
+        assert field.grid.r_values == (0.5, 1.0)
+        assert field.grid.t_values == (0.0, 0.7, 1.3)
+        assert field.grid.method == "riemann"
 
     def test_late_time_overflow_is_flagged(self):
-        # at H t = 400 the endpoint-layer kernels leave the binary64 range
+        # at H t = 400 the endpoint-layer kernels leave the binary64 range;
+        # at H t = 800 e^{-H t} underflows
         mode = ModeState(ell=1, m=0, f0=gaussian_profile(1))
         params = PhysicalParams(H=1.0, m=2.0)
-        field = evaluate_grid(mode, params, "riemann", [0.7], [1.0, 400.0])
-        ok, late = field.grid.err_flags[0]
+        field = evaluate_grid(mode, params, "riemann", [0.7], [1.0, 400.0, 800.0])
+        ok, *late = field.grid.err_flags[0]
         assert ok == "ok"
-        assert issubclass(getattr(errors, late), errors.QuadratureFailure)
-        assert math.isnan(field.grid.values[0, 1].real)
+        for j, flag in enumerate(late, 1):
+            assert issubclass(getattr(errors, flag), errors.QuadratureFailure)
+            assert math.isnan(field.grid.values[0, j].real)
 
     def test_outer_scalar_miss_is_stored_as_nan(self):
         # the monopole block has no inner integral, so the convolution's own
@@ -349,7 +350,7 @@ class TestEvaluateGrid:
             values=vals,
             err_flags=[["ok", "ToleranceNotMet"]],
         )
-        assert grid.sample(0, 1).err_flag == "ToleranceNotMet"
+        assert grid.err_flags[0][1] == "ToleranceNotMet"
 
 
 class TestArrayOfTimes:
@@ -418,6 +419,50 @@ class TestArrayOfTimes:
             ita_remainder(mode, params, 0.7, 14.0, spec)
         assert np.ndim(one.value.value) == 0
         assert abs(one.value.value - value[0]) <= 1e-14 * abs(value[0])
+
+
+class TestLateTimes:
+    """A late time (e^{-H t} < 0.05) is one integral in xi, H s = 1 - xi
+    e^{-H t}, over its whole convolution; an early one is one in s."""
+
+    # the pionic atom with its velocity, and a Gaussian without
+    MODES = {
+        "pionic": lambda m: pionic_mode(2, 1, energy=m),
+        "gauss": lambda m: ModeState(ell=1, m=0, f0=gaussian_profile(1)),
+    }
+
+    @pytest.mark.parametrize("name", list(MODES))
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_values_continue_across_the_seam(self, m, name):
+        # just before and just after e^{-H t} = 0.05 the two forms of the
+        # convolution give the same field
+        early, late = math.log(20.0) * (1.0 - 1e-12), math.log(20.0) * (1.0 + 1e-12)
+        assert math.exp(-early) >= 0.05 > math.exp(-late)
+        mode, params = self.MODES[name](m), PhysicalParams(H=1.0, m=m)
+        for fn in (field_riemann, field_hankel, ita_remainder):
+            a, b = fn(mode, params, 0.7, early), fn(mode, params, 0.7, late)
+            assert abs(a - b) <= 1e-8 * abs(a), fn.__name__
+
+    @pytest.mark.parametrize("r", [0.5, 1.2])
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    def test_late_remainder_meets_the_spec(self, m, r):
+        # a late time is held to the spec's own tolerances: the default
+        # value is within rel_tol of one under far tighter ones
+        mode, params = pionic_mode(2, 1, energy=m), PhysicalParams(H=1.0, m=m)
+        times = np.array([5.0, 14.0, 34.0])
+        want = ita_remainder(mode, params, r, times, QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12))
+        got = ita_remainder(mode, params, r, times)
+        assert (np.abs(got - want) <= 1e-8 * np.abs(want)).all()
+
+    def test_cancelling_panels_meet_the_spec(self):
+        # here the geometric panels of the xi integral cancel to a third of
+        # the first one: held to the spec each, their summed estimates would
+        # miss the time's own tolerance (2.8e-9 against 2.1e-9); held to it
+        # as one integral, they do not
+        mode, params = ModeState(ell=0, m=0, f0=gaussian_profile(0)), PhysicalParams(H=1.0, m=5.0)
+        tighter = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=1000)
+        want = ita_remainder(mode, params, 0.7, 3.5, tighter)
+        assert abs(ita_remainder(mode, params, 0.7, 3.5) - want) <= 1e-8 * abs(want)
 
 
 class TestVelocityOnTheDataBlocks:
