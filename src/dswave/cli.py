@@ -253,7 +253,11 @@ def _parse_normalization(text: str) -> Any:
 
 
 def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # JSON numbers are finite: the nan and inf that Python's json and float()
+    # read are not numbers here
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # type -> (test, what a value that fails it is not, flag parser); an "axis"

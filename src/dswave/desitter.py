@@ -178,17 +178,16 @@ def _panel_quad(g: Callable[[np.ndarray, np.ndarray], np.ndarray], tops: np.ndar
     """The integrals int_1^{tops_j} g(xi, j) dxi of the times j in one
     engine pass, each cut into the geometric panels [4^k, 4^{k+1}] of [1,
     tops_j], which see at most a few units of ln xi, and at xi_r_j, where
-    the blocks of time j kink.  Each integral is held to the spec as a
-    whole, in at most max_subdivisions intervals per panel.  Returns the
-    values and error estimates.
+    the blocks of time j kink (the engine drops the cuts beyond an
+    integral).  Each integral is held to the spec as a whole, in at most
+    max_subdivisions intervals per piece.  Returns the values and error
+    estimates.
     """
     powers = 4.0 ** np.arange(1, math.ceil(math.log(tops.max(), 4.0)) + 1)
-    inside = powers < tops[:, None]
     # through the module binding, which the benchmark's tracer counts
     return quadrature.quad(
-        g, np.ones(tops.size), tops, spec.abs_tol, spec.rel_tol,
-        spec.max_subdivisions * (1 + inside.sum(axis=1)),
-        np.column_stack([np.where(inside, powers, np.nan), xi_r]),
+        g, np.ones(tops.size), tops, spec.abs_tol, spec.rel_tol, spec.max_subdivisions,
+        np.column_stack([np.tile(powers, (tops.size, 1)), xi_r]),
     )[:2]
 
 

@@ -437,10 +437,11 @@ def _component_tail(
         coef * int_{lam0}^inf g(lam) P(1/(r lam)) trig(freq lam) dlam.
 
     Every component takes one path.  Its trig factor is flat out to
-    flat_end = pi/(4 freq), clipped to [lam0, lam_slow]; geometric panels
-    lam0 2^j cover [lam0, flat_end], all of them one batch (most components
-    oscillate from lam0 on and have none).  Where the oscillation starts
-    below lam_slow, the component continues from flat_end on one ladder of
+    flat_end = pi/(4 freq), clipped to [lam0, lam_slow]; [lam0, flat_end]
+    is one integral per component, cut at lam0 2^j and held to the spec as
+    a whole, all of them one batch (most components oscillate from lam0
+    on, and theirs is empty).  Where the oscillation starts below
+    lam_slow, the component continues from flat_end on one ladder of
     phase-aligned half-period cells.  Each component has its own cap there:
     lambda_max, lifted to 3000 pi/(4 freq) for the near-DC ones, so that
     their first cells fit.  The components that stay flat to lam_slow
@@ -473,12 +474,9 @@ def _component_tail(
     slow = freq < math.pi / (4.0 * lam0)
     flat_end = np.where(slow, np.minimum(lam1, lam_slow), lam0)
 
-    edge = lam0 * 2.0 ** np.arange(math.ceil(math.log2(lam_slow / lam0)) + 1)
-    own, j = np.nonzero(edge < flat_end[:, None])
-    hi = np.minimum(2.0 * edge[j], flat_end[own])
-    pan = integrate_batch(lambda lam, k: integrand(lam, own[k]), edge[j], hi, spec)
-    n = live.size
-    tail = np.bincount(own, pan.value.real, n) + 1j * np.bincount(own, pan.value.imag, n)
+    edge = lam0 * 2.0 ** np.arange(1, math.ceil(math.log2(lam_slow / lam0)) + 1)
+    flat_part = integrate_batch(integrand, lam0, flat_end, spec, points=edge)
+    tail = flat_part.value
 
     closed = np.flatnonzero(lam1 >= lam_slow)
     if closed.size:
@@ -495,7 +493,7 @@ def _component_tail(
                 f"spectral envelope decays like lam^-{p[i]:.2f}; tail "
                 "correction unreliable",
                 value=coef[closed[i]] * tail[closed[i]],
-                err_est=np.bincount(own, pan.err_est, n)[closed[i]] + a0[i] * lam_slow,
+                err_est=flat_part.err_est[closed[i]] + a0[i] * lam_slow,
             )
         add = (a0 > 0.0) & np.isfinite(p)
         tail[closed[add]] += e0[add] * lam_slow / (p[add] - 1.0)
@@ -538,16 +536,19 @@ def _hankel_block(
     with weight "cos" carrying an extra lam factor (the data-type block) and
     "sin" none (the velocity-type block).
 
-    Direct panels up to lam0 = max(40, 3(ell+2)/r); beyond that the Bessel
-    factor splits exactly into sin/cos components with polynomial envelopes
-    in 1/(r lam), the time weight is product-to-sum combined to frequencies
-    r +- omega, and all components take _component_tail's one path:
-    geometric panels where the trig factor is still flat, one oscillatory
-    ladder with a cap per component, and a power-law closure at frequency 0.
+    Up to lam0 = max(40, 3(ell+2)/r) the block is one direct integral, cut
+    into n_pan equal panels (two periods of the fastest frequency r +
+    |omega| at most, or 600 of them) and held to the spec as a whole.
+    Beyond lam0 the Bessel factor splits exactly into sin/cos components
+    with polynomial envelopes in 1/(r lam), the time weight is
+    product-to-sum combined to frequencies r +- omega, and all components
+    take _component_tail's one path: one integral where the trig factor is
+    still flat, one oscillatory ladder with a cap per component, and a
+    power-law closure at frequency 0.
 
-    omega may be an array of times: the direct panels of all of them are
-    then one batch of integrals, each block keeping its own panels and
-    tolerances, their tail components share that one path, and the result
+    omega may be an array of times: the direct integrals of all of them are
+    then one batch, each cut at its own panel edges (one row of break points
+    per block), their tail components share that one path, and the result
     is an array of omega's shape.
     """
     om = np.asarray(omega, dtype=float)
@@ -566,14 +567,8 @@ def _hankel_block(
     lam0 = max(40.0, 3.0 * (ell + 2) / r)
     fmax = r + np.abs(w)
     n_pan = np.minimum(np.maximum(1, (lam0 * fmax / (4.0 * math.pi)).astype(int) + 1), 600)
-    lo, hi, owner = [], [], []
-    for p in np.unique(n_pan):
-        blocks = np.flatnonzero(n_pan == p)
-        edges = lam0 * np.arange(p + 1) / p
-        lo.append(np.tile(edges[:-1], blocks.size))
-        hi.append(np.tile(edges[1:], blocks.size))
-        owner.append(np.repeat(blocks, p))
-    lo, hi, owner = np.concatenate(lo), np.concatenate(hi), np.concatenate(owner)
+    j = np.arange(1, n_pan.max())
+    cuts = np.where(j < n_pan[:, None], lam0 * j / n_pan[:, None], np.nan)
 
     def direct(lam: np.ndarray, k: np.ndarray) -> np.ndarray:
         # fhat and the Bessel factor depend on lam alone, and the first
@@ -581,19 +576,12 @@ def _hankel_block(
         # evaluate them once per distinct abscissa
         u, inv = np.unique(lam, return_inverse=True)
         inv = inv.reshape(lam.shape)
-        wl = w[owner[k]] * lam
+        wl = w[k] * lam
         wv = np.cos(wl) if cos_w else np.sin(wl)
         v = fhat(u)[inv] * wv * bessel_j_half(ell, r * u)[inv]
         return v * lam if cos_w else v
 
-    pan = integrate_batch(
-        direct,
-        lo,
-        hi,
-        spec,
-        abs_tol=spec.abs_tol / (2.0 * n_pan[owner]),
-    ).value
-    total = np.bincount(owner, pan.real, w.size) + 1j * np.bincount(owner, pan.imag, w.size)
+    total = integrate_batch(direct, 0.0, np.full(w.size, lam0), spec, points=cuts).value
 
     pref = math.sqrt(2.0 / (math.pi * r))
     if cos_w:

@@ -55,17 +55,20 @@ _TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision limits shared by all integral evaluations."""
+    """Tolerances and subdivision limit shared by all integral evaluations:
+    an integral is held as a whole to max(abs_tol, rel_tol |value|), in at
+    most max_subdivisions (an integer >= 8) intervals per piece that its
+    break points cut it into.  The tolerances are finite and positive."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise InvalidParam("tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise InvalidParam("max_subdivisions must be >= 8")
+        if not all(0.0 < tol < np.inf for tol in (self.abs_tol, self.rel_tol)):
+            raise InvalidParam("tolerances must be finite and positive")
+        if not isinstance(self.max_subdivisions, (int, np.integer)) or self.max_subdivisions < 8:
+            raise InvalidParam("max_subdivisions must be an integer >= 8")
 
 
 @dataclass(frozen=True)
@@ -190,23 +193,24 @@ def quad(
     f: Callable[[np.ndarray, np.ndarray], Any],
     a: np.ndarray,
     b: np.ndarray,
-    abs_tol,
+    abs_tol: float,
     rel_tol: float,
-    limit,
+    limit: int,
     points: tuple[float, ...] | np.ndarray = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive G10K21 over the batch int_{a_i}^{b_i} f(x, i) dx, a_i <= b_i,
-    on 1-d arrays of limits (abs_tol and limit a scalar or one per
-    integral).  An empty integral, a_i = b_i, is 0 and never reaches f.
+    on 1-d arrays of limits.  An empty integral, a_i = b_i, is 0 and never
+    reaches f.
 
     points are break points: a sequence shared by every integral, or an
     array with one row per integral (nan where a row has fewer).  Each
-    integral starts from [a_i, b_i] cut at its points inside it, and
-    its intervals with the largest errors are bisected until its summed
-    error is at most half of tol_i = max(abs_tol, rel_tol |value_i|), it
-    holds `limit` intervals, or its summed error has not reached a new low
-    for _STALL_ROUNDS rounds.  Returns the values, the error estimates and
-    the tolerances tol_i; an integral has missed where err_i > tol_i.
+    integral starts from [a_i, b_i] cut at its points inside it, its
+    initial pieces, and its intervals with the largest errors are bisected
+    until its summed error is at most half of tol_i = max(abs_tol, rel_tol
+    |value_i|), it holds `limit` intervals per initial piece, or its summed
+    error has not reached a new low for _STALL_ROUNDS rounds.  Returns the
+    values, the error estimates and the tolerances tol_i; an integral has
+    missed where err_i > tol_i.
     """
     n = a.size
     if len(points):
@@ -221,6 +225,7 @@ def quad(
     else:
         owner = np.flatnonzero(b > a)
         lo, hi = a[owner].astype(float), b[owner].astype(float)
+    cap = limit * np.bincount(owner, minlength=n)
     val, err = _kronrod(f, lo, hi, owner)
     best = np.full(n, np.inf)
     stall = np.zeros(n, dtype=int)
@@ -229,7 +234,7 @@ def quad(
         total = np.bincount(owner, val.real, n) + 1j * np.bincount(owner, val.imag, n)
         errsum = np.bincount(owner, err, n).astype(float, copy=False)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        room = limit - np.bincount(owner, minlength=n)
+        room = cap - np.bincount(owner, minlength=n)
         stall = np.where(errsum < best, 0, stall + 1)
         best = np.minimum(best, errsum)
         need = (errsum > 0.5 * tol) & (room > 0) & (stall < _STALL_ROUNDS)
@@ -263,8 +268,8 @@ def integrate_finite(
     singularities, are mandatory break points.  Raises ToleranceNotMet
     (carrying the best estimate) when the error estimate still exceeds
     max(abs_tol, rel_tol*|value|) where refinement ends (max_subdivisions
-    intervals, or no progress), and NonFiniteIntegrand if f returns nan/inf
-    inside the range.
+    intervals per piece between break points, or no progress), and
+    NonFiniteIntegrand if f returns nan/inf inside the range.
 
     Given an array of limits, it is integrate_batch: f is called as
     f(x, k), and the results are arrays.  The assembly's batches of times
@@ -281,33 +286,31 @@ def integrate_batch(
     b,
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
-    abs_tol=None,
-    points: tuple[float, ...] = (),
+    points: tuple[float, ...] | np.ndarray = (),
 ) -> IntegralResult:
     """The independent integrals int_{a_i}^{b_i} f(x, i) dx in one pass.
 
     a and b are broadcast to one shape; value and err_est come back as
     arrays of it, or as a complex and a float when both limits are scalars.
-    Each integral is held to the tolerance integrate_finite would hold it
-    to, with abs_tol, when given, in place of spec.abs_tol (one per
-    integral, broadcast against the limits), and is cut at the points that
-    fall inside its interval.  A miss on any of them raises
-    ToleranceNotMet carrying the values and error estimates in the same
-    form.
+    Each integral is cut at the points that fall inside its interval
+    (shared, or one row per integral as ``quad`` takes them) and held as a
+    whole to the tolerance integrate_finite would hold it to, in at most
+    spec.max_subdivisions intervals per piece.  A miss on any of them
+    raises ToleranceNotMet carrying the values and error estimates in the
+    same form.
     """
-    atol = spec.abs_tol if abs_tol is None else abs_tol
-    a, b, atol = (np.asarray(x, dtype=float) for x in (a, b, atol))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # broadcast by adding zeros: np.broadcast_arrays costs ~10 us more a
     # call, and a field grid point makes three of them
-    zero = np.zeros(np.broadcast(a, b, atol).shape)
+    zero = np.zeros(np.broadcast(a, b).shape)
     shape = zero.shape
-    a, b, atol = (a + zero).ravel(), (b + zero).ravel(), (atol + zero).ravel()
+    a, b = (a + zero).ravel(), (b + zero).ravel()
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidParam("integration limits must be finite")
     if (a > b).any():
         i = int(np.argmax(a > b))
         raise InvalidParam(f"integration requires a <= b, got ({a[i]}, {b[i]})")
-    value, err, tol = quad(f, a, b, atol, spec.rel_tol, spec.max_subdivisions, points)
+    value, err, tol = quad(f, a, b, spec.abs_tol, spec.rel_tol, spec.max_subdivisions, points)
     if shape:
         out = IntegralResult(value.reshape(shape), err.reshape(shape))
     else:

@@ -456,9 +456,11 @@ class TestKernels:
         assert "nan" in lines[2]
 
 
-# finite extremes of every numeric flag, and ordinary values between them
+# extremes of every numeric flag, nan and the infinities among them, and
+# ordinary values between them
 _EXTREME = st.one_of(
-    st.sampled_from([0.0, 1e-300, 1e-8, 0.5, 1.0, SQRT2, 2.0, 1e8, 1e300, 1.7976931348623157e308]),
+    st.sampled_from([0.0, 1e-300, 1e-8, 0.5, 1.0, SQRT2, 2.0, 1e8, 1e300, 1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf]),
     st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False),
 )
 
@@ -535,12 +537,35 @@ class TestExtremeInputs:
         ["eval", "--mass", "1e300", "--r", "0.5", "--t", "1", "--jobs", "1"],
         ["kernels", "--mass", "1e300", "--r", "0.5", "--t", "1"],
         ["decay", "--t-window", "30,10"],
+        # non-finite settings: nan tolerances held nothing (exit 0 with ok
+        # rows, never refined), and the others ended in a ValueError
+        # traceback from json.dump
+        ["eval", "--abs-tol", "nan", "--rel-tol", "nan", "--jobs", "1", "--r", "1", "--t", "1,2",
+         "--ell", "1", "--mass", "2.0"],
+        ["compare", "--tolerance", "nan", "--jobs", "1", "--r", "1", "--t", "1"],
+        ["decay", "--decay-tolerance", "nan", "--n-samples", "5"],
+        ["eval", "--format", "json", "--theta", "inf", "--jobs", "1", "--r", "1", "--t", "1"],
+        ["eval", "--format", "json", "--profile", "pionic", "--normalization=-inf",
+         "--jobs", "1", "--r", "1", "--t", "1"],
+        ["eval", "--jobs", "1", "--r", "1", "--t", "1,nan"],
     ])
     def test_unusable_setting_is_a_config_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_non_finite_file_value_is_a_config_error(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity, which JSON has no number for
+        for section, key, value in [("quadrature", "abs_tol", math.nan),
+                                    ("physical", "H", math.inf),
+                                    ("decay", "t_window", [10.0, math.nan])]:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({section: {key: value}, "output": {"format": "json"}}))
+            code, out, err = run(capsys, "eval", "--jobs", "1", "--config", str(path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"config error: {section}.{key}") and err.count("\n") == 1
 
     @given(
         command=st.sampled_from(["kernels", "eval", "decay"]),

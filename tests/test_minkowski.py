@@ -13,6 +13,7 @@ from dswave import (
     DomainError,
     InvalidParam,
     ModeState,
+    QuadratureSpec,
     ToleranceNotMet,
     UnsupportedEll,
     gaussian_profile,
@@ -187,7 +188,7 @@ class TestWaveBlock:
                 assert g == pytest.approx(wave_block(prof, ell, 0.9, float(t)), rel=1e-15)
 
     def test_spectral_block_array_of_times_equals_scalar_calls(self):
-        # one batch of direct panels and one ladder for every time, each
+        # one batch of direct integrals and one ladder for every time, each
         # block as it would be alone; omega = r + 1e-4 puts the r - omega
         # components on the near-DC path, and the sin block vanishes at 0
         r = 0.7
@@ -201,6 +202,20 @@ class TestWaveBlock:
                     assert g == pytest.approx(one, rel=1e-14, abs=1e-300)
                 if weight == "sin":
                     assert got[0, 0] == 0.0
+
+    @pytest.mark.parametrize("weight", ["cos", "sin"])
+    @pytest.mark.parametrize("prof", [gaussian_profile(1), pionic_profile(2, 1, 1)],
+                             ids=["gauss", "pionic"])
+    def test_spectral_block_meets_the_spec_as_a_whole(self, prof, weight):
+        # omega = 3 and 5 cut the direct integral into 20 and more panels,
+        # and r + 1e-4 puts a component on the near-DC path; each block is
+        # held to the spec as a whole, not panel by panel
+        r = 2.5
+        ws = np.array([3.0, 5.0, r + 1e-4])
+        got = _hankel_block(prof.hankel, 1, r, ws, weight, DEFAULT_SPEC)
+        want = _hankel_block(prof.hankel, 1, r, ws, weight, QuadratureSpec(1e-14, 1e-12))
+        tol = np.maximum(DEFAULT_SPEC.abs_tol, DEFAULT_SPEC.rel_tol * np.abs(want))
+        assert (np.abs(got - want) <= tol).all()
 
     @pytest.mark.parametrize("prof,ell", [
         (gaussian_profile(1), 1),
@@ -216,7 +231,7 @@ class TestWaveBlock:
 
     def test_tail_components_take_one_path(self, monkeypatch):
         # frequency-0, near-DC and fast components together: the direct
-        # panels, then one batch of tail panels and one ladder
+        # integrals, then one batch of flat tail integrals and one ladder
         calls = []
         for name in ("integrate_batch", "integrate_oscillatory_batch"):
             def counted(*args, _f=getattr(minkowski, name), _n=name, **kwargs):

@@ -29,6 +29,16 @@ class TestSpecValidation:
         with pytest.raises(InvalidParam):
             QuadratureSpec(rel_tol=-1e-8)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"abs_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.nan},
+        {"rel_tol": math.inf}, {"max_subdivisions": math.nan}, {"max_subdivisions": 200.5},
+        {"max_subdivisions": 7},
+    ])
+    def test_rejects_settings_that_hold_nothing(self, kwargs):
+        # a nan tolerance passed every comparison, so no integral was refined
+        with pytest.raises(InvalidParam):
+            QuadratureSpec(**kwargs)
+
     def test_defaults_are_usable(self):
         assert DEFAULT_SPEC.abs_tol > 0
 
@@ -67,6 +77,17 @@ class TestIntegrateFinite:
         assert abs(info.value.value) < 10.0  # the estimate itself stays sane
         assert isinstance(info.value.value, complex)
         assert isinstance(info.value.err_est, float)
+
+    def test_subdivision_limit_counts_per_piece(self):
+        # max_subdivisions = 8 intervals cannot resolve the chirp on [0, 3]
+        # (see above), but they can on each of the 12 pieces the break
+        # points cut it into: a cut integral keeps the room of its pieces
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=8)
+        f = lambda x: np.cos(40.0 * x * x)
+        res = integrate_finite(f, 0.0, 3.0, spec, points=tuple(0.25 * np.arange(1, 12)))
+        assert res.err_est <= 1e-12
+        want = integrate_finite(f, 0.0, 3.0, QuadratureSpec(1e-13, 1e-13, 1000)).value
+        assert abs(res.value - want) <= 1e-12
 
     def test_miss_inside_the_integrand_passes_through(self):
         # an inner batch that misses inside the integrand reaches the caller
