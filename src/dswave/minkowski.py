@@ -69,12 +69,16 @@ class RadialProfile:
     same.  mu is the small-r exponent: F = O(r^{mu - 1/2}) as r -> 0+.
     hankel is the closed form of the order parity_ell + 1/2 transform
     (taking arrays too) that the spectral blocks require, or None.
+    hankel_tail(lam0, a), where given, bounds int_{lam0}^inf |hankel| lam^a
+    (inf where it has no bound); the spectral blocks skip tails it proves
+    negligible.
     """
 
     func: Callable[[float], complex]
     mu: float
     parity_ell: int
     hankel: Callable[[float], complex] | None = None
+    hankel_tail: Callable[[float, float], float] | None = None
     _scale: tuple[RadialProfile, complex] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -172,18 +176,28 @@ def gaussian_profile(
         lag = assoc_laguerre(k, nu, np.where(live, x, 0.0))
         return amplitude * (np.exp(np.where(live, e, -np.inf)) * lag)
 
-    return RadialProfile(func=func, mu=p + 0.5, parity_ell=ell, hankel=hat)
+    def tail(lam0, a):
+        # by the Laguerre bound |hat| lam^a <= |amplitude| e^{log_c + log_b} h,
+        # h = lam^{nu+a} (1+x)^k e^{-x}; (ln h)' <= (nu+a+2k)/lam - lam/(2 sigma)
+        # falls with lam, to at most -delta past lam0: int h <= h(lam0)/delta
+        x = lam0 * lam0 / (4.0 * sigma)
+        delta = lam0 / (2.0 * sigma) - (nu + a + 2 * k) / lam0
+        e = log_c + log_b + (nu + a) * math.log(lam0) + k * math.log1p(x) - x
+        return abs(amplitude) * math.exp(e) / delta if delta > 0.0 and e < 709.0 else math.inf
+
+    return RadialProfile(func=func, mu=p + 0.5, parity_ell=ell, hankel=hat, hankel_tail=tail)
 
 
 def scaled_profile(profile: RadialProfile, coef: complex) -> RadialProfile:
     """The profile times a constant (possibly complex) factor, recorded with its base."""
     if profile._scale is not None:
         profile, coef = profile._scale[0], profile._scale[1] * coef
-    base_hat = profile.hankel
+    base_hat, base_tail = profile.hankel, profile.hankel_tail
     return replace(
         profile,
         func=lambda x: coef * profile.func(x),
         hankel=None if base_hat is None else (lambda lam: coef * base_hat(lam)),
+        hankel_tail=None if base_tail is None else (lambda lam0, a: abs(coef) * base_tail(lam0, a)),
         _scale=(profile, coef),
     )
 
@@ -531,6 +545,7 @@ def _hankel_block(
     omega,
     weight: str,
     spec: QuadratureSpec,
+    tail_bound: Callable[[float, float], float] | None = None,
 ):
     """(1/sqrt r) int_0^inf fhat(lam) w(omega lam) J_{ell+1/2}(r lam) dlam,
     with weight "cos" carrying an extra lam factor (the data-type block) and
@@ -544,7 +559,9 @@ def _hankel_block(
     product-to-sum combined to frequencies r +- omega, and all components
     take _component_tail's one path: one integral where the trig factor is
     still flat, one oscillatory ladder with a cap per component, and a
-    power-law closure at frequency 0.
+    power-law closure at frequency 0.  tail_bound is the profile's
+    hankel_tail: where it proves the whole tail below 1e-3 abs_tol, the
+    tail is skipped, for every omega alike.
 
     omega may be an array of times: the direct integrals of all of them are
     then one batch, each cut at its own panel edges (one row of break points
@@ -606,10 +623,15 @@ def _hankel_block(
                 (0.5, r + wj, "sin", bcoef),
                 (-0.5, r - wj, "sin", bcoef),
             ]
-    every = [c for wj in w.tolist() for c in comps(wj) if any(x != 0.0 for x in c[3])]
-    tails = _component_tail(g, every, r, lam0, spec).reshape(w.size, -1)
-    for j in range(tails.shape[1]):
-        total += tails[:, j]
+    # the components sum to at most pref (|A| + |B|)(1/(r lam0)) int_lam0^inf
+    # |fhat| lam^{+-1/2}, |A| and |B| the split's polynomials with |coefficients|
+    split = sum(abs(c) * (r * lam0) ** -i for p in (acoef, bcoef) for i, c in enumerate(p))
+    bound = math.inf if tail_bound is None else pref * split * tail_bound(lam0, 0.5 if cos_w else -0.5)
+    if not bound / math.sqrt(r) <= 1e-3 * spec.abs_tol:  # nan bounds nothing
+        every = [c for wj in w.tolist() for c in comps(wj) if any(x != 0.0 for x in c[3])]
+        tails = _component_tail(g, every, r, lam0, spec).reshape(w.size, -1)
+        for j in range(tails.shape[1]):
+            total += tails[:, j]
     out[run] = total / math.sqrt(r)
     return complex(out[0]) if om.ndim == 0 else out.reshape(om.shape)
 
@@ -628,8 +650,8 @@ def _blocks(f: RadialProfile, spec: QuadratureSpec, spectral: bool):
     ell = f.parity_ell
     if spectral:
         fhat = _profile_transform(f)
-        data = lambda r, s: _hankel_block(fhat, ell, r, s, "cos", spec)
-        velocity = lambda r, s: _hankel_block(fhat, ell, r, s, "sin", spec)
+        data = lambda r, s: _hankel_block(fhat, ell, r, s, "cos", spec, f.hankel_tail)
+        velocity = lambda r, s: _hankel_block(fhat, ell, r, s, "sin", spec, f.hankel_tail)
     else:
         data = lambda r, s: wave_block(f, ell, r, s, spec)
         velocity = lambda r, s: _kirchhoff_block(f, ell, r, s, spec)

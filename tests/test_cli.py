@@ -567,6 +567,21 @@ class TestExtremeInputs:
             assert out == ""
             assert err.startswith(f"config error: {section}.{key}") and err.count("\n") == 1
 
+    def test_integer_beyond_binary64_is_a_config_error(self, tmp_path, capsys):
+        # JSON integers are unbounded: 10**400 passed the settings check and
+        # then failed in float() mid-run (exit 2, or a traceback in an axis)
+        for argv, section, key, value in [
+            (["decay", "--n-samples", "5"], "decay", "tolerance", 10**400),
+            (["eval", "--jobs", "1"], "quadrature", "abs_tol", 10**400),
+            (["eval", "--jobs", "1"], "grid", "r", [1, 10**400]),
+        ]:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({section: {key: value}}))
+            code, out, err = run(capsys, *argv, "--config", str(path))
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"config error: {section}.{key}") and err.count("\n") == 1
+
     @given(
         command=st.sampled_from(["kernels", "eval", "decay"]),
         H=_EXTREME, mass=_EXTREME, r=_EXTREME, t=_EXTREME, t2=_EXTREME,

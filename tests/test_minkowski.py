@@ -2,6 +2,7 @@
 (tools/gen_oracle_values.py), cross-method agreement, and the spline of
 tabulated profiles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from dswave import (
     DomainError,
     InvalidParam,
     ModeState,
+    PhysicalParams,
     QuadratureSpec,
     ToleranceNotMet,
     UnsupportedEll,
@@ -27,7 +29,8 @@ from dswave import (
     wave_block,
 )
 from dswave import DEFAULT_SPEC, minkowski
-from dswave.desitter import pionic_profile
+from dswave.desitter import field_hankel, pionic_profile
+from dswave.specfun import bessel_trig_split
 from dswave.minkowski import _blocks, _hankel_block, _kirchhoff_block
 
 GAUSS_BLOCK_L1 = {
@@ -231,7 +234,8 @@ class TestWaveBlock:
 
     def test_tail_components_take_one_path(self, monkeypatch):
         # frequency-0, near-DC and fast components together: the direct
-        # integrals, then one batch of flat tail integrals and one ladder
+        # integrals, then one batch of flat tail integrals and one ladder;
+        # at sigma = 20 the tail is live, and its bound does not skip it
         calls = []
         for name in ("integrate_batch", "integrate_oscillatory_batch"):
             def counted(*args, _f=getattr(minkowski, name), _n=name, **kwargs):
@@ -240,8 +244,95 @@ class TestWaveBlock:
 
             monkeypatch.setattr(minkowski, name, counted)
         ws = np.array([0.7, 0.7 + 1e-4, 1.3])
-        _hankel_block(gaussian_profile(1).hankel, 1, 0.7, ws, "cos", DEFAULT_SPEC)
+        prof = gaussian_profile(1, sigma=20.0)
+        _hankel_block(prof.hankel, 1, 0.7, ws, "cos", DEFAULT_SPEC, prof.hankel_tail)
         assert calls == ["integrate_batch", "integrate_batch", "integrate_oscillatory_batch"]
+
+    def test_gaussian_tail_bound_bounds_every_tail(self, monkeypatch):
+        # wherever the envelope bound is finite, each tail component that
+        # _component_tail computes is within its share of the bound, plus
+        # the error estimates of the passes that computed it.  Wherever the
+        # bound skips the tail, the block moves by at most 1e-3 abs_tol, and
+        # not at all where the bound is below half its last bit: 420 of the
+        # 432 skipped values here (of the other 12, six blocks ~1e-20 at
+        # sigma = 20, ell = 5, r = 0.3, omega = 2 move in their last bits).
+        # At sigma = 0.2, power ell + 10, r = 0.3 the direct integral misses
+        # either way.
+        passes, seen = [], []
+
+        def spied(f):
+            def call(*args, **kwargs):
+                res = f(*args, **kwargs)
+                passes.append(float(np.max(res.err_est, initial=0.0)))
+                return res
+            return call
+
+        def component_tail(gfun, comps, r, lam0, spec, _f=minkowski._component_tail):
+            passes.clear()
+            seen.append((comps, _f(gfun, comps, r, lam0, spec)))
+            return seen[-1][1]
+
+        for name in ("integrate_batch", "integrate_oscillatory_batch"):
+            monkeypatch.setattr(minkowski, name, spied(getattr(minkowski, name)))
+        monkeypatch.setattr(minkowski, "_component_tail", component_tail)
+
+        def env(poly, x):  # sum |c_i| x^-i, x = r lam0
+            return sum(abs(c) * x**-i for i, c in enumerate(poly))
+
+        ws = np.array([0.5, 2.0])
+        checked = skipped = bitwise = 0
+        for ell, sigma, dp, r, weight in itertools.product(
+                (0, 1, 2, 5), (0.2, 1.0, 5.0, 20.0, 60.0), (0, 2, 10), (0.3, 1.0, 3.0), ("cos", "sin")):
+            prof = gaussian_profile(ell, sigma=sigma, power=ell + dp)
+            lam0 = max(40.0, 3.0 * (ell + 2) / r)
+            pref = math.sqrt(2.0 / (math.pi * r))
+            bound = prof.hankel_tail(lam0, 0.5 if weight == "cos" else -0.5)
+            seen.clear()
+            try:
+                full = _hankel_block(prof.hankel, ell, r, ws, weight, DEFAULT_SPEC)
+            except ToleranceNotMet:
+                with pytest.raises(ToleranceNotMet):
+                    _hankel_block(prof.hankel, ell, r, ws, weight, DEFAULT_SPEC, prof.hankel_tail)
+                continue
+            (comps, tails), = seen
+            if math.isfinite(bound):
+                checked += 1
+                for (coef, _, _, poly), v in zip(comps, tails):
+                    assert abs(v) <= abs(coef) * pref * env(poly, r * lam0) * bound + sum(passes)
+            seen.clear()
+            got = _hankel_block(prof.hankel, ell, r, ws, weight, DEFAULT_SPEC, prof.hankel_tail)
+            if not seen:
+                skipped += 1
+                assert (np.abs(got - full) <= 1e-3 * DEFAULT_SPEC.abs_tol).all()
+                split = sum(env(p, r * lam0) for p in bessel_trig_split(ell))
+                exact = np.abs(full) * 2.0**-54 > pref * split * bound / math.sqrt(r)
+                assert got[exact].tobytes() == full[exact].tobytes()
+                bitwise += exact.sum()
+        assert checked > skipped > 0 and bitwise >= 2 * skipped - 12
+
+    def test_spectral_workload_gaussian_makes_no_ladder_call(self, monkeypatch):
+        # field_hankel of sigma = 1 Gaussian data (H = 1, m in {0.5, 2}) at
+        # the benchmark's radii and times: every tail is bounded below
+        # budget, and skipped, for an array of times as for each alone; at
+        # sigma = 20 the bound is above it
+        calls = []
+
+        def counted(*args, _f=minkowski.integrate_oscillatory_batch, **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(minkowski, "integrate_oscillatory_batch", counted)
+        for m in (0.5, 2.0):
+            params = PhysicalParams(H=1.0, m=m)
+            for r, t in [(0.3, 0.4), (1.1, 2.6), (2.5, 5.0), (0.7, 40.0)]:
+                field_hankel(ModeState(1, 0, gaussian_profile(1)), params, r, t)
+        ts = np.array([0.0, 0.7, 2.9, 40.0])
+        for block in _blocks(gaussian_profile(1), DEFAULT_SPEC, True):
+            got = block(0.7, ts)
+            assert got == pytest.approx([block(0.7, float(t)) for t in ts], rel=1e-14, abs=1e-300)
+        assert calls == []
+        field_hankel(ModeState(1, 0, gaussian_profile(1, sigma=20.0)), PhysicalParams(H=1.0, m=2.0), 1.1, 2.6)
+        assert calls
 
     def test_slow_dc_envelope_is_tolerance_not_met(self):
         # the transform decays like lam^-1.5, so the cos-weighted envelope

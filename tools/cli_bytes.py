@@ -47,8 +47,14 @@ COMMANDS = [
     ["decay", "--mass", "2.0", "--decay-r", "0.7", "--t-window", "14,34", "--n-samples", "21",
      "--fit-poly"],
     ["kernels", "--r", "0.1,0.3", "--t", "1.0,2.0"],
-    # spectral rows, early and late, and late riemann rows
+    # spectral rows, early and late, and late riemann rows; at sigma 20 the
+    # Gaussian's tail is live, at sigma 1 (the benchmark's late op too) its
+    # envelope bound skips it
     ["eval", "--jobs", "1", "--method", "hankel", "--ell", "1", "--mass", "2.0", *_GRID],
+    ["eval", "--jobs", "1", "--method", "hankel", "--ell", "1", "--mass", "2.0", "--sigma", "20",
+     *_GRID],
+    ["eval", "--jobs", "1", "--method", "hankel", "--ell", "1", "--mass", "2.0", "--r", "0.7",
+     "--t", "40"],
     *(["eval", "--jobs", "1", "--method", method, "--ell", "1", "--mass", mass, *_LATE]
       for method in ("riemann", "hankel") for mass in ("0.5", "2.0")),
     ["eval", "--jobs", "1", "--method", "hankel", "--mass", "2.0", *_PIONIC,
